@@ -98,9 +98,7 @@ std::vector<fleet::ServiceProfile> measured_profiles(const CliOptions& opt) {
   return fleet::profiles_from_runs(runner::run_sweep(set, experiments, run_opt), kIdleC);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   sys::RunConfig rc;
   try {
     rc = sys::RunConfig::resolve(&argc, argv);
@@ -187,4 +185,17 @@ int main(int argc, char** argv) {
     std::cout << "Counter CSV written to " << opt.rc.counters_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A ConfigError past argument parsing (an unknown workload, a run that
+  // exceeds max_time) exits 2 naming the problem instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -150,9 +150,7 @@ void print_timeline(const sys::RunResult& r) {
   t.print(std::cout);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   // Shared knobs first: --scale/--jobs/--trace/... are stripped from argv
   // before the app-specific parse sees the remainder.
   sys::RunConfig rc;
@@ -249,4 +247,17 @@ int main(int argc, char** argv) {
     std::cout << "Counter CSV written to " << opt.rc.counters_path << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A ConfigError past argument parsing (an unknown workload, a run that
+  // exceeds max_time) exits 2 naming the problem instead of aborting.
+  try {
+    return run(argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -2,7 +2,7 @@
 // coolpim-bench-pareto/1).
 //
 // The zoo's reason to exist is a better throughput / temperature trade-off:
-// each registered policy (control/registry.hpp) runs every GraphBIG scenario
+// each registered policy (sys/policy_registry.hpp) runs every GraphBIG scenario
 // next to the Non-Offloading baseline, and the JSON records the three Pareto
 // axes per run -- throughput (speedup over non-offloading), peak DRAM
 // temperature, and delivered warning count -- plus per-policy aggregates
@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "control/registry.hpp"
 #include "runner/experiment.hpp"
+#include "sys/policy_registry.hpp"
 #include "sys/system.hpp"
 
 #include "perf_support.hpp"
@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
       quick ? std::vector<std::string>{"dc", "pagerank", "sssp-dwc"} : sys::workload_names();
 
   std::cout << "Pareto sweep: " << workloads.size() << " workloads x "
-            << std::size(control::kRegisteredPolicies)
+            << std::size(sys::kRegisteredPolicies)
             << " policies (+ baseline) at scale " << scale << "...\n";
   bench::StopWatch build_clock;
   const sys::WorkloadSet set{scale, 1};
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     base.config.scenario = sys::Scenario::kNonOffloading;
     experiments.push_back(std::move(base));
     policy_of.emplace_back("baseline");
-    for (const control::PolicyInfo& info : control::kRegisteredPolicies) {
+    for (const sys::PolicyInfo& info : sys::kRegisteredPolicies) {
       runner::Experiment e;
       e.workload = w;
       e.config.scenario = info.scenario;
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
 
   // Per-policy aggregates across the workload suite.
   std::vector<PolicyAggregate> aggregates;
-  for (const control::PolicyInfo& info : control::kRegisteredPolicies) {
+  for (const sys::PolicyInfo& info : sys::kRegisteredPolicies) {
     PolicyAggregate agg;
     agg.policy = info.cli_name;
     double log_sum = 0.0;

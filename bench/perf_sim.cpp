@@ -20,7 +20,7 @@
 //    15).  Cross-validates the analytic epoch-throughput tier against the
 //    instruction-level pim-vault tier on every GraphBIG micro-kernel
 //    (pim::cross_validate, tolerance pim::kXvalTolerance) and times the
-//    per-epoch serve cost of all three tiers, so the tier-cost ratio --
+//    per-epoch serve cost of both tiers, so the tier-cost ratio --
 //    the reason epoch-throughput is the default -- stays visible in CI
 //    artifacts.  A kernel outside tolerance fails the binary (exit 1).
 //
@@ -161,7 +161,6 @@ struct BackendResult {
   unsigned xval_epochs;
   std::vector<BackendXvalRow> xval;
   double epoch_throughput_ns_per_epoch;
-  double event_detailed_ns_per_epoch;
   double pim_vault_ns_per_epoch;
   bool gate_pass;
 };
@@ -202,8 +201,6 @@ BackendResult measure_backends(bool quick) {
   const unsigned timing_epochs = quick ? 100 : 1000;
   r.epoch_throughput_ns_per_epoch =
       backend_ns_per_epoch(hmc::BackendKind::kEpochThroughput, timing_epochs);
-  r.event_detailed_ns_per_epoch =
-      backend_ns_per_epoch(hmc::BackendKind::kEventDetailed, timing_epochs);
   r.pim_vault_ns_per_epoch =
       backend_ns_per_epoch(hmc::BackendKind::kPimVault, timing_epochs);
   return r;
@@ -228,7 +225,7 @@ int main(int argc, char** argv) {
   const BackendResult be = measure_backends(quick);
 
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-sim/4");
+  json.kv("schema", "coolpim-bench-sim/5");
   json.kv("quick", quick);
   json.begin_object("queue");
   json.kv("events", q.events);
@@ -273,7 +270,6 @@ int main(int argc, char** argv) {
   }
   json.end();
   json.kv("epoch_throughput_ns_per_epoch", be.epoch_throughput_ns_per_epoch);
-  json.kv("event_detailed_ns_per_epoch", be.event_detailed_ns_per_epoch);
   json.kv("pim_vault_ns_per_epoch", be.pim_vault_ns_per_epoch);
   json.kv("gate_pass", be.gate_pass);
   json.end();
@@ -290,8 +286,8 @@ int main(int argc, char** argv) {
             << "End-to-end (scale " << e.scale << "): " << e.total_wall_ms << " ms over "
             << e.runs.size() << " runs\n"
             << "Backend:   serve cost " << be.epoch_throughput_ns_per_epoch << " / "
-            << be.event_detailed_ns_per_epoch << " / " << be.pim_vault_ns_per_epoch
-            << " ns per epoch (epoch-throughput / event-detailed / pim-vault); xval "
+            << be.pim_vault_ns_per_epoch
+            << " ns per epoch (epoch-throughput / pim-vault); xval "
             << (be.gate_pass ? "within" : "OUTSIDE") << " tolerance "
             << pim::kXvalTolerance << " on " << be.xval.size() << " kernels\n"
             << "Results written to " << out << "\n";

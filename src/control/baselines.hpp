@@ -18,9 +18,6 @@ class NaivePolicy final : public Policy {
     ++warnings_;
     trace_.instant(now, obs::names::kCatCore, "warning_ignored");
   }
-  bool acquire_block(Time) override { return true; }
-  void release_block(Time) override {}
-  [[nodiscard]] double pim_warp_fraction(Time) const override { return 1.0; }
   [[nodiscard]] std::string_view name() const override { return "naive-offloading"; }
   [[nodiscard]] Time throttle_delay() const override { return Time::zero(); }
   [[nodiscard]] std::uint32_t throttle_level() const override { return 0; }
@@ -37,7 +34,6 @@ class NonOffloadingPolicy final : public Policy {
   using Policy::on_thermal_warning;
   void on_thermal_warning(Time, Time) override {}
   bool acquire_block(Time) override { return false; }
-  void release_block(Time) override {}
   [[nodiscard]] double pim_warp_fraction(Time) const override { return 0.0; }
   [[nodiscard]] std::string_view name() const override { return "non-offloading"; }
   [[nodiscard]] Time throttle_delay() const override { return Time::zero(); }

@@ -65,8 +65,6 @@ class MpcPolicy final : public Policy {
   void on_thermal_warning(Time now, Time raised_at) override;
   void on_watchdog_engage(Time now) override;
 
-  bool acquire_block(Time) override { return true; }
-  void release_block(Time) override {}
   [[nodiscard]] double pim_warp_fraction(Time) const override { return allow(level_); }
   [[nodiscard]] std::string_view name() const override { return "CoolPIM (MPC)"; }
   [[nodiscard]] Time throttle_delay() const override { return cfg_.throttle_delay; }

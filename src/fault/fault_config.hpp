@@ -24,7 +24,7 @@ namespace coolpim::fault {
 /// Fail-safe watchdog (graceful degradation, consuming side).  If no warning
 /// feedback arrives within `window` while the host-visible temperature is
 /// near the warning threshold and not falling, the controller is forced into
-/// a conservative degrade step (ThrottleController::on_watchdog_engage)
+/// a conservative degrade step (control::Policy::on_watchdog_engage)
 /// rather than running open-loop hot.  Active only when the fault layer as a
 /// whole is enabled.
 struct WatchdogConfig {

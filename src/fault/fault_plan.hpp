@@ -71,8 +71,8 @@ class FaultPlan {
   /// order.  Call after offer_warning()/maybe_spurious() for the epoch.
   [[nodiscard]] std::vector<Delivery> collect_due(Time now);
 
-  /// Device-model hook (event-detailed path): in-flight integrity outcome
-  /// for one response packet, same fate distribution as offer_warning.
+  /// Device-model hook (hmc::Device integrity filter): in-flight integrity
+  /// outcome for one response packet, same fate distribution as offer_warning.
   [[nodiscard]] hmc::PacketIntegrity roll_integrity(Time now);
 
   struct Stats {

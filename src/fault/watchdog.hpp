@@ -7,7 +7,7 @@
 // host-visible (possibly degraded) temperature: when that reading is near
 // the warning threshold and not falling, and no warning has arrived within
 // the configured window, it forces the controller into a conservative
-// degrade step (ThrottleController::on_watchdog_engage), repeating every
+// degrade step (control::Policy::on_watchdog_engage), repeating every
 // min_interval until feedback resumes or the stack cools.
 //
 // Deterministic and draw-free: engagement is a pure function of the delivery

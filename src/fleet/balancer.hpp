@@ -7,7 +7,7 @@
 // FleetConfig::max_defer_epochs.
 //
 // Three members ship, mirroring the throttling-policy registry pattern
-// (control/registry.hpp): round-robin (oblivious), join-shortest-queue
+// (sys/policy_registry.hpp): round-robin (oblivious), join-shortest-queue
 // (load-only), and thermal-aware -- JSQ with a per-degC penalty above a
 // reference temperature plus a recent-ERRSTAT-warning-rate penalty, the
 // fleet-level analogue of SW-DynT routing work away from a hot cube.

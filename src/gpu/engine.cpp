@@ -28,7 +28,7 @@ std::vector<LaunchSpec> build_launches(const graph::WorkloadProfile& profile,
 }
 
 ExecutionEngine::ExecutionEngine(GpuConfig cfg, std::vector<LaunchSpec> launches,
-                                 core::ThrottleController& controller)
+                                 control::Policy& controller)
     : cfg_{std::move(cfg)}, launches_{std::move(launches)}, controller_{controller} {
   cfg_.validate();
   COOLPIM_REQUIRE(!launches_.empty(), "workload has no kernel launches");

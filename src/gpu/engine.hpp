@@ -20,7 +20,7 @@
 
 #include "common/stats.hpp"
 #include "common/units.hpp"
-#include "core/controller.hpp"
+#include "control/policy.hpp"
 #include "gpu/characterize.hpp"
 #include "gpu/config.hpp"
 #include "graph/profile.hpp"
@@ -48,7 +48,7 @@ struct LaunchSpec {
 class ExecutionEngine {
  public:
   ExecutionEngine(GpuConfig cfg, std::vector<LaunchSpec> launches,
-                  core::ThrottleController& controller);
+                  control::Policy& controller);
 
   /// Demand the GPU would like served during the next `window` of time.
   /// Returns zero demand while in kernel-launch overhead or when finished.
@@ -97,7 +97,7 @@ class ExecutionEngine {
 
   GpuConfig cfg_;
   std::vector<LaunchSpec> launches_;
-  core::ThrottleController& controller_;
+  control::Policy& controller_;
 
   std::size_t launch_idx_{0};
   Progress prog_{};

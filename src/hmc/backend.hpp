@@ -1,14 +1,11 @@
 // The HMC service-backend contract: fidelity is data, selected by name.
 //
 // sys::SystemRun drives the epoch loop against this interface instead of a
-// hard-wired model.  Three fidelity tiers register (DESIGN.md section 15):
+// hard-wired model.  Two fidelity tiers register (DESIGN.md section 15):
 //
 //   epoch-throughput  hmc::ThroughputModel behind EpochThroughputBackend.
 //                     Analytic per-epoch admission; the default, and
 //                     byte-identical to the pre-contract simulator.
-//   event-detailed    hmc::Device behind EventDetailedBackend.  Discrete
-//                     per-request timing (link FLIT serialization, crossbar,
-//                     vault/bank service) sampled per epoch.
 //   pim-vault         pim::PimVaultBackend (src/pim/).  Instruction-level
 //                     PIM units: CRF fetch/decode with program/loop
 //                     counters, per-bank operand conflicts, DRAM timing
@@ -25,12 +22,12 @@
 //   - thermal-power: thermal_power() maps a served mix to the bandwidths
 //     the power model charges.
 //
-// The registry mirrors control::Policy (control/registry.hpp): an iterable
-// kRegisteredBackends table, name lookup for --hmc-backend /
+// The registry mirrors the policy registry (sys/policy_registry.hpp): an
+// iterable kRegisteredBackends table, name lookup for --hmc-backend /
 // COOLPIM_HMC_BACKEND, and one uniform build entry point.  make_backend()
 // is *defined* in src/pim/backend_factory.cpp -- the pim library sits above
-// hmc (it builds on vault/bank structures), so the factory lives in the top
-// backend layer exactly like control:: sits above core::.
+// hmc (it builds on vault/bank structures), so only that layer can name
+// every registered tier.
 #pragma once
 
 #include <cstdint>
@@ -49,16 +46,16 @@
 
 namespace coolpim::hmc {
 
+/// runner::config_hash hashes the numeric value, so values are pinned: a
+/// renumbering would change every experiment key and seed of that tier.
 enum class BackendKind : std::uint8_t {
-  kEpochThroughput,
-  kEventDetailed,
-  kPimVault,
+  kEpochThroughput = 0,
+  kPimVault = 2,
 };
 
 [[nodiscard]] constexpr std::string_view to_string(BackendKind k) {
   switch (k) {
     case BackendKind::kEpochThroughput: return fidelity::kEpochThroughput;
-    case BackendKind::kEventDetailed: return fidelity::kEventDetailed;
     case BackendKind::kPimVault: return fidelity::kPimVault;
   }
   return "?";
@@ -70,10 +67,9 @@ struct BackendInfo {
 };
 
 /// Every registered service backend; the conformance tests iterate this
-/// array, so registering a fourth backend enrols it automatically.
+/// array, so registering a third backend enrols it automatically.
 inline constexpr BackendInfo kRegisteredBackends[] = {
     {fidelity::kEpochThroughput, BackendKind::kEpochThroughput},
-    {fidelity::kEventDetailed, BackendKind::kEventDetailed},
     {fidelity::kPimVault, BackendKind::kPimVault},
 };
 
@@ -199,51 +195,6 @@ class EpochThroughputBackend final : public Backend {
 
  private:
   ThroughputModel model_;
-};
-
-/// The event-detailed hmc::Device refitted under the contract.  Each epoch a
-/// deterministic sample of discrete requests (capped at
-/// kMaxSampledRequests, demand proportions preserved via residual carries)
-/// runs through a fresh Device -- link FLIT serialization, crossbar and
-/// vault/bank timing included -- and the achieved request rate bounds the
-/// served fraction.  Bandwidth reporting uses the same LinkModel arithmetic
-/// as the analytic tier so EpochService semantics stay uniform.
-class EventDetailedBackend final : public Backend {
- public:
-  /// Per-epoch request-sample cap: enough to reach steady service on every
-  /// vault (32 vaults x 16 banks), small enough to keep full runs usable.
-  static constexpr std::uint64_t kMaxSampledRequests = 4096;
-
-  explicit EventDetailedBackend(HmcConfig cfg, ThermalPolicy policy = {})
-      : link_{std::move(cfg)}, policy_{policy} {}
-
-  [[nodiscard]] BackendKind kind() const override { return BackendKind::kEventDetailed; }
-  [[nodiscard]] const HmcConfig& config() const override { return link_.config(); }
-  [[nodiscard]] const LinkModel& link() const override { return link_; }
-  [[nodiscard]] const ThermalPolicy& policy() const override { return policy_; }
-
-  [[nodiscard]] EpochService probe(const EpochDemand& demand, Time epoch,
-                                   Celsius dram_temp) const override;
-
- protected:
-  [[nodiscard]] EpochService do_serve(const EpochDemand& demand, Time epoch,
-                                      Celsius dram_temp) override;
-
- private:
-  struct Carry {
-    double reads{0.0};
-    double writes{0.0};
-    double pim_ops{0.0};
-    double pim_returns{0.0};
-    std::uint64_t addr_cursor{0};
-  };
-
-  [[nodiscard]] EpochService run_detailed(const EpochDemand& demand, Time epoch,
-                                          Celsius dram_temp, Carry& carry) const;
-
-  LinkModel link_;
-  ThermalPolicy policy_;
-  Carry carry_{};
 };
 
 /// Everything any backend may need; sys:: fills it from its SystemConfig.

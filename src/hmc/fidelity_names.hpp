@@ -1,7 +1,7 @@
 // Exported fidelity-tier name constants -- the single source of truth for
 // how the simulator's fidelity vocabulary is spelled.
 //
-// Three tiers exist: the HMC service backends selected by --hmc-backend /
+// Two vocabularies exist: the HMC service backends selected by --hmc-backend /
 // COOLPIM_HMC_BACKEND (hmc/backend.hpp registry), and the fleet tier's node
 // thermal-integration fidelity (fleet::ThermalFidelity).  Every CLI flag,
 // error message, bench JSON field and docs table spells these names from the
@@ -19,15 +19,11 @@ namespace coolpim::hmc::fidelity {
 /// ~10 us epoch, link FLIT + internal DRAM caps.  The default, and the
 /// identity baseline for every golden result.
 inline constexpr std::string_view kEpochThroughput = "epoch-throughput";
-/// Event-detailed request path (hmc::Device): per-request link serialization,
-/// crossbar, vault/bank timing.
-inline constexpr std::string_view kEventDetailed = "event-detailed";
 /// Instruction-level PIM vault model (pim::PimVaultBackend): CRF
 /// fetch/decode with program/loop counters, per-bank operand conflicts.
 inline constexpr std::string_view kPimVault = "pim-vault";
 
-inline constexpr std::string_view kAllBackends[] = {
-    kEpochThroughput, kEventDetailed, kPimVault};
+inline constexpr std::string_view kAllBackends[] = {kEpochThroughput, kPimVault};
 
 // ---- Fleet node thermal fidelity (fleet::ThermalFidelity) ------------------
 inline constexpr std::string_view kFleetRc = "rc";

@@ -1,6 +1,5 @@
 // hmc::make_backend lives here, in the topmost backend library: pim:: builds
-// on hmc::Vault/Bank, so only this layer can name every registered tier
-// (exactly how control:: hosts the policy factory above core::).
+// on hmc::Vault/Bank, so only this layer can name every registered tier.
 #include <memory>
 
 #include "common/error.hpp"
@@ -13,8 +12,6 @@ std::unique_ptr<Backend> make_backend(const BackendBuild& build) {
   switch (build.kind) {
     case BackendKind::kEpochThroughput:
       return std::make_unique<EpochThroughputBackend>(build.hmc, build.policy);
-    case BackendKind::kEventDetailed:
-      return std::make_unique<EventDetailedBackend>(build.hmc, build.policy);
     case BackendKind::kPimVault:
       return std::make_unique<pim::PimVaultBackend>(build.hmc, build.policy, build.seed,
                                                     build.pim_kernel);

@@ -5,7 +5,7 @@
 // per decode cycle (PPC/LC state machine), and for each PIM instruction
 // issues an atomic RMW to a bank operand through the owning vault -- so FU
 // serialization, bank occupancy and thermal derating all come from the same
-// hmc::Vault/Bank timing the event-detailed backend uses.  Operand addresses
+// hmc::Vault/Bank timing the event-detailed hmc::Device uses.  Operand addresses
 // follow a deterministic per-vault splitmix64 stream (graph-property
 // accesses are effectively random across banks); a bank conflict is counted
 // whenever the selected bank is still busy at issue time.

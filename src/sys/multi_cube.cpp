@@ -4,10 +4,10 @@
 #include <cmath>
 #include <memory>
 
-#include "control/registry.hpp"
 #include "gpu/engine.hpp"
 #include "hmc/link_model.hpp"
 #include "hmc/throughput_model.hpp"
+#include "sys/policy_registry.hpp"
 #include "thermal/hmc_thermal.hpp"
 
 namespace coolpim::sys {
@@ -33,22 +33,6 @@ struct Cube {
   double served_pim{0.0};
   Celsius peak{0.0};
 };
-
-std::unique_ptr<control::Policy> make_controller(const SystemConfig& cfg,
-                                                 double naive_rate_estimate) {
-  control::PolicyBuild build;
-  build.scenario = cfg.scenario;
-  build.sw.control_factor = cfg.sw_control_factor;
-  build.sw.eq1.max_blocks = static_cast<std::uint32_t>(cfg.gpu.max_resident_blocks());
-  build.sw.eq1.target_rate_op_per_ns = cfg.target_rate_op_per_ns;
-  build.sw.eq1.margin_blocks = cfg.eq1_margin_blocks;
-  build.sw.eq1.estimated_naive_rate_op_per_ns = naive_rate_estimate;
-  build.hw.max_warps_per_sm = static_cast<std::uint32_t>(cfg.gpu.max_warps_per_sm);
-  build.hw.control_factor = cfg.hw_control_factor;
-  build.mpc = cfg.mpc;
-  build.table = cfg.policy_table;
-  return control::make_policy(build);
-}
 
 }  // namespace
 
@@ -76,7 +60,7 @@ MultiCubeResult MultiCubeSystem::run(const graph::WorkloadProfile& workload) {
                                    est_instr / base.gpu.issue_rate_per_sec());
   const double naive_rate = est_time > 0.0 ? est_atomics / est_time * 1e-9 : 0.0;
 
-  auto controller = make_controller(base, naive_rate);
+  auto controller = make_policy(base, workload, naive_rate);
   gpu::ExecutionEngine engine{base.gpu, std::move(launches), *controller};
 
   // Build the cubes.  Regular traffic stripes evenly; atomics follow the

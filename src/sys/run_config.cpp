@@ -5,8 +5,8 @@
 #include <string_view>
 
 #include "common/error.hpp"
-#include "control/registry.hpp"
 #include "hmc/backend.hpp"
+#include "sys/policy_registry.hpp"
 #include "sys/system.hpp"
 
 namespace coolpim::sys {
@@ -136,9 +136,9 @@ void RunConfig::validate() const {
   COOLPIM_REQUIRE(stack_layers <= 64, "stack-layers must be in [0, 64]");
   if (!policy.empty()) {
     Scenario unused;
-    COOLPIM_REQUIRE(control::policy_from_name(policy, unused),
+    COOLPIM_REQUIRE(policy_from_name(policy, unused),
                     "unknown policy '" + policy + "' (registered: " +
-                        control::policy_names() + ")");
+                        policy_names() + ")");
   }
   if (!hmc_backend.empty()) {
     hmc::BackendKind unused;
@@ -204,7 +204,7 @@ void RunConfig::apply_to(SystemConfig& cfg) const {
   cfg.fault = fault;
   if (!policy.empty()) {
     Scenario s;
-    COOLPIM_REQUIRE(control::policy_from_name(policy, s),
+    COOLPIM_REQUIRE(policy_from_name(policy, s),
                     "unknown policy '" + policy + "'");
     cfg.scenario = s;
   }
@@ -232,7 +232,7 @@ std::string RunConfig::flags_help() {
          "  --counters FILE      write a counter CSV of the run(s)\n"
          "  --profile-cache DIR  persistent workload-profile cache\n"
          "  --policy NAME        throttling policy (" +
-         control::policy_names() +
+         policy_names() +
          ")\n"
          "  --policy-table FILE  fitted policy-table CSV (policy-table only)\n"
          "  --hmc-backend NAME   HMC service fidelity tier (" +

@@ -41,7 +41,7 @@ struct RunConfig {
   /// --profile-cache); empty = off.
   std::string profile_cache_dir;
   /// Throttling-policy selection by registered name (COOLPIM_POLICY /
-  /// --policy, see control/registry.hpp); empty = keep the scenario the
+  /// --policy, see sys/policy_registry.hpp); empty = keep the scenario the
   /// entry point configured.
   std::string policy;
   /// Fitted policy-table CSV for the policy-table controller

@@ -12,7 +12,7 @@ enum class Scenario {
   kCoolPimHw,       // HW-DynT PCU
   kIdealThermal,    // naive offloading with unlimited cooling
   kBwThrottle,      // comparison policy: blanket bandwidth throttling
-  // Predictive members of the controller zoo (control/registry.hpp).  New
+  // Predictive members of the controller zoo (sys/policy_registry.hpp).  New
   // scenarios append here so existing enum values -- and therefore existing
   // experiment keys and golden results -- stay stable.
   kMpc,             // MPC-style RC-model rollout (control/mpc.hpp)

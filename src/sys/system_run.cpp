@@ -4,39 +4,11 @@
 #include <cmath>
 #include <utility>
 
-#include "control/registry.hpp"
 #include "hmc/link_model.hpp"
-#include "hmc/packet.hpp"
 #include "obs/names.hpp"
+#include "sys/policy_registry.hpp"
 
 namespace coolpim::sys {
-
-namespace {
-
-std::unique_ptr<control::Policy> make_controller(const SystemConfig& cfg,
-                                                 const graph::WorkloadProfile& workload,
-                                                 const hmc::LinkModel& link,
-                                                 double naive_rate_estimate) {
-  control::PolicyBuild build;
-  build.scenario = cfg.scenario;
-  build.sw.control_factor = cfg.sw_control_factor;
-  build.sw.eq1.max_blocks = static_cast<std::uint32_t>(cfg.gpu.max_resident_blocks());
-  build.sw.eq1.pim_intensity = workload.pim_intensity();
-  build.sw.eq1.divergent_warp_ratio = workload.divergence_ratio();
-  build.sw.eq1.target_rate_op_per_ns = cfg.target_rate_op_per_ns;
-  build.sw.eq1.margin_blocks = cfg.eq1_margin_blocks;
-  // Peak PIM rate: the link FLIT budget divided by 3 FLITs per op.
-  build.sw.eq1.pim_peak_rate_op_per_ns =
-      link.flits_per_sec() / hmc::flit_cost(hmc::TransactionType::kPimNoReturn).total() * 1e-9;
-  build.sw.eq1.estimated_naive_rate_op_per_ns = naive_rate_estimate;
-  build.hw.max_warps_per_sm = static_cast<std::uint32_t>(cfg.gpu.max_warps_per_sm);
-  build.hw.control_factor = cfg.hw_control_factor;
-  build.mpc = cfg.mpc;
-  build.table = cfg.policy_table;
-  return control::make_policy(build);
-}
-
-}  // namespace
 
 SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
     : cfg_{std::move(cfg)},
@@ -77,7 +49,7 @@ SystemRun::SystemRun(SystemConfig cfg, const graph::WorkloadProfile& workload)
   const double naive_rate_estimate =
       est_time > 0.0 ? est_atomics / est_time * 1e-9 : 0.0;
 
-  controller_ = make_controller(cfg_, workload, link, naive_rate_estimate);
+  controller_ = make_policy(cfg_, workload, naive_rate_estimate);
   controller_->set_trace(tr_);
   controller_->set_counters(ctr_);
   engine_.emplace(cfg_.gpu, std::move(launches), *controller_);

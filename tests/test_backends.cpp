@@ -215,13 +215,9 @@ TEST(BackendKeyStabilityTest, DefaultBackendLeavesExperimentKeysUntouched) {
   explicit_default.backend = hmc::BackendKind::kEpochThroughput;
   EXPECT_EQ(runner::config_hash(base), runner::config_hash(explicit_default));
 
-  sys::SystemConfig event = base;
-  event.backend = hmc::BackendKind::kEventDetailed;
   sys::SystemConfig vault = base;
   vault.backend = hmc::BackendKind::kPimVault;
-  EXPECT_NE(runner::config_hash(base), runner::config_hash(event));
   EXPECT_NE(runner::config_hash(base), runner::config_hash(vault));
-  EXPECT_NE(runner::config_hash(event), runner::config_hash(vault));
 }
 
 TEST(BackendSystemTest, FullRunsCompleteOnEveryTierWithComparableOpTotals) {
@@ -269,8 +265,8 @@ void expect_identical_run(const sys::RunResult& a, const sys::RunResult& b) {
 TEST(BackendSystemTest, SweepsAreBitIdenticalAcrossJobCountsOnEveryTier) {
   // The jobs=1-vs-jobs=8 determinism property the default tier has always
   // had (test_runner) must survive the Backend refit on the non-default
-  // tiers too: the refitted event-detailed member and the new pim-vault
-  // tier give field-for-field identical sweep results at any job count.
+  // tier too: the pim-vault tier gives field-for-field identical sweep
+  // results at any job count.
   const sys::WorkloadSet set{14, 1};
   std::vector<runner::Experiment> tasks;
   for (const auto& info : hmc::kRegisteredBackends) {

@@ -2,12 +2,12 @@
 // baseline, origin-aware warning coalescing and the watchdog degrade steps.
 #include <gtest/gtest.h>
 
-#include "core/bw_throttle.hpp"
 #include "control/baselines.hpp"
-#include "core/hw_dynt.hpp"
-#include "core/sw_dynt.hpp"
+#include "control/bw_throttle.hpp"
+#include "control/hw_dynt.hpp"
+#include "control/sw_dynt.hpp"
 
-namespace coolpim::core {
+namespace coolpim::control {
 namespace {
 
 SwDynTConfig sw_config(std::uint32_t pool) {
@@ -18,7 +18,7 @@ SwDynTConfig sw_config(std::uint32_t pool) {
 }
 
 TEST(NaiveControllerTest, AlwaysGrants) {
-  control::NaivePolicy c;
+  NaivePolicy c;
   EXPECT_TRUE(c.acquire_block(Time::zero()));
   EXPECT_DOUBLE_EQ(c.pim_warp_fraction(Time::zero()), 1.0);
   c.on_thermal_warning(Time::ms(1));
@@ -28,7 +28,7 @@ TEST(NaiveControllerTest, AlwaysGrants) {
 }
 
 TEST(NonOffloadingControllerTest, NeverGrants) {
-  control::NonOffloadingPolicy c;
+  NonOffloadingPolicy c;
   EXPECT_FALSE(c.acquire_block(Time::zero()));
   EXPECT_DOUBLE_EQ(c.pim_warp_fraction(Time::zero()), 0.0);
 }
@@ -58,7 +58,7 @@ TEST(SwDynTTest, ShrinksAfterThrottleDelay) {
   // After T_throttle the reduction is applied on the next runtime action.
   EXPECT_FALSE(sw.acquire_block(Time::ms(1.2)));
   EXPECT_EQ(sw.pool().size(), 12u);
-  EXPECT_EQ(sw.reductions_applied(), 1u);
+  EXPECT_EQ(sw.adjustments(), 1u);
 }
 
 TEST(SwDynTTest, WarningsCoalescedWithinUpdateInterval) {
@@ -72,11 +72,11 @@ TEST(SwDynTTest, WarningsCoalescedWithinUpdateInterval) {
   sw.on_thermal_warning(Time::us(20));   // same excursion: coalesced
   sw.on_thermal_warning(Time::us(900));  // still within the interval
   (void)sw.acquire_block(Time::ms(0.95));
-  EXPECT_EQ(sw.reductions_applied(), 1u);
+  EXPECT_EQ(sw.adjustments(), 1u);
   EXPECT_EQ(sw.warnings_received(), 3u);
   sw.on_thermal_warning(Time::ms(2));  // new interval
   (void)sw.acquire_block(Time::ms(2.5));
-  EXPECT_EQ(sw.reductions_applied(), 2u);
+  EXPECT_EQ(sw.adjustments(), 2u);
 }
 
 TEST(SwDynTTest, ShadowLaunchesCounted) {
@@ -106,7 +106,7 @@ TEST(HwDynTTest, ReductionVisibleAfterPcuDelay) {
   EXPECT_DOUBLE_EQ(hw.pim_warp_fraction(Time::ms(1)), 1.0);
   // Just after: reduced.
   EXPECT_NEAR(hw.pim_warp_fraction(Time::ms(1.001)), 56.0 / 64.0, 1e-12);
-  EXPECT_EQ(hw.reductions_applied(), 1u);
+  EXPECT_EQ(hw.adjustments(), 1u);
 }
 
 TEST(HwDynTTest, DelayedControlUpdates) {
@@ -191,16 +191,16 @@ TEST(BwThrottleTest, ReducesOnWarningWithFloorAndCoalescing) {
   cfg.reduction_step = 0.5;
   cfg.floor = 0.2;
   cfg.settle_window = Time::ms(2.5);
-  BwThrottleController bw{cfg};
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 1.0);
+  BwThrottle bw{cfg};
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 1.0);
   bw.on_thermal_warning(Time::ms(1), Time::ms(1));
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.5);
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.5);
   bw.on_thermal_warning(Time::ms(7), Time::ms(2));  // stale: coalesced
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.5);
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.5);
   bw.on_thermal_warning(Time::ms(7), Time::ms(7));
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.25);
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.25);
   bw.on_thermal_warning(Time::ms(20), Time::ms(20));
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.2);  // floored
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.2);  // floored
   EXPECT_EQ(bw.adjustments(), 3u);
 }
 
@@ -246,22 +246,22 @@ TEST(HwDynTTest, WatchdogEngageHalvesWarps) {
 TEST(BwThrottleTest, WatchdogEngageHalvesAdmittedFraction) {
   BwThrottleConfig cfg;
   cfg.floor = 0.2;
-  BwThrottleController bw{cfg};
+  BwThrottle bw{cfg};
   bw.on_watchdog_engage(Time::ms(1));
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.5);
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.5);
   bw.on_watchdog_engage(Time::ms(2));
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.25);
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.25);
   bw.on_watchdog_engage(Time::ms(3));
-  EXPECT_DOUBLE_EQ(bw.admit_fraction(), 0.2);  // floored
+  EXPECT_DOUBLE_EQ(bw.demand_scale(Time::zero()), 0.2);  // floored
 }
 
 TEST(ControllerContractTest, DefaultWatchdogEngageActsAsWarning) {
   // Controllers without a dedicated degrade step fall back to treating the
   // engagement as a warning raised now.
-  control::NaivePolicy naive;
+  NaivePolicy naive;
   naive.on_watchdog_engage(Time::ms(1));
   EXPECT_EQ(naive.warnings_seen(), 1u);
 }
 
 }  // namespace
-}  // namespace coolpim::core
+}  // namespace coolpim::control

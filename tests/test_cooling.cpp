@@ -63,7 +63,7 @@ TEST(CoolingTest, FanPowerMonotoneInResistance) {
 TEST(CoolingTest, PassiveRangeCostsNothing) {
   EXPECT_DOUBLE_EQ(fan_power_for_resistance(ThermalResistance{4.0}), 0.0);
   EXPECT_DOUBLE_EQ(fan_power_for_resistance(ThermalResistance{10.0}), 0.0);
-  EXPECT_THROW(fan_power_for_resistance(ThermalResistance{0.0}), ConfigError);
+  EXPECT_THROW((void)fan_power_for_resistance(ThermalResistance{0.0}), ConfigError);
 }
 
 TEST(CoolingTest, RequiredResistanceForFullLoadedPim) {
@@ -73,15 +73,15 @@ TEST(CoolingTest, RequiredResistanceForFullLoadedPim) {
   // average rise at the hotspot.
   const auto r = required_resistance(Watts{58.0}, Celsius{25.0}, Celsius{85.0});
   EXPECT_NEAR(r.value(), 1.03, 0.05);  // average-rise bound (hotspot refines)
-  EXPECT_THROW(required_resistance(Watts{0.0}, Celsius{25.0}, Celsius{85.0}), ConfigError);
-  EXPECT_THROW(required_resistance(Watts{10.0}, Celsius{85.0}, Celsius{85.0}), ConfigError);
+  EXPECT_THROW((void)required_resistance(Watts{0.0}, Celsius{25.0}, Celsius{85.0}), ConfigError);
+  EXPECT_THROW((void)required_resistance(Watts{10.0}, Celsius{85.0}, Celsius{85.0}), ConfigError);
 }
 
 TEST(CoolingTest, PrototypeModuleSolutions) {
   EXPECT_NEAR(prototype_cooling(CoolingType::kPassive).resistance.value(), 1.45, 1e-9);
   EXPECT_NEAR(prototype_cooling(CoolingType::kLowEndActive).resistance.value(), 0.70, 1e-9);
   EXPECT_NEAR(prototype_cooling(CoolingType::kHighEndActive).resistance.value(), 0.49, 1e-9);
-  EXPECT_THROW(prototype_cooling(CoolingType::kCommodityServer), ConfigError);
+  EXPECT_THROW((void)prototype_cooling(CoolingType::kCommodityServer), ConfigError);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 #include "common/error.hpp"
 
 #include "control/baselines.hpp"
-#include "core/sw_dynt.hpp"
+#include "control/sw_dynt.hpp"
 #include "gpu/engine.hpp"
 #include "hmc/throughput_model.hpp"
 
@@ -102,10 +102,10 @@ TEST(EngineTest, HostAtomicCoalescingReducesRmwTraffic) {
 
 TEST(EngineTest, TokenPoolLimitsPimFraction) {
   GpuConfig cfg;
-  core::SwDynTConfig sc;
+  control::SwDynTConfig sc;
   sc.use_static_init = false;
   sc.eq1.max_blocks = 32;  // pool of 32 vs 128 resident blocks
-  core::SwDynT ctrl{sc};
+  control::SwDynT ctrl{sc};
   ExecutionEngine engine{cfg, {simple_launch(1e7, 0, 1e6, 1000)}, ctrl};
   (void)engine.commit(Time::zero(), engine.launch_overhead, full_service({}));
   const double p = engine.pim_fraction(engine.launch_overhead);

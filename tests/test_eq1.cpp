@@ -1,10 +1,10 @@
 // Tests for the Equation 1 static PTP initialization.
 #include <gtest/gtest.h>
 
-#include "core/eq1.hpp"
+#include "control/eq1.hpp"
 #include "common/error.hpp"
 
-namespace coolpim::core {
+namespace coolpim::control {
 namespace {
 
 TEST(Eq1Test, ForwardEvaluation) {
@@ -89,10 +89,10 @@ TEST(Eq1Test, TrialRunEstimateOverride) {
 TEST(Eq1Test, InvalidInputsThrow) {
   Eq1Inputs in;
   in.max_blocks = 0;
-  EXPECT_THROW(initial_ptp_size(in), ConfigError);
+  EXPECT_THROW((void)initial_ptp_size(in), ConfigError);
   in.max_blocks = 10;
   in.target_rate_op_per_ns = 0.0;
-  EXPECT_THROW(initial_ptp_size(in), ConfigError);
+  EXPECT_THROW((void)initial_ptp_size(in), ConfigError);
 }
 
 // Property: the initial pool never estimates above the target rate by more
@@ -118,4 +118,4 @@ INSTANTIATE_TEST_SUITE_P(Intensities, Eq1Consistency,
                          ::testing::Values(0.05, 0.1, 0.26, 0.5, 1.0));
 
 }  // namespace
-}  // namespace coolpim::core
+}  // namespace coolpim::control

@@ -54,7 +54,7 @@ TEST(TriangleCountTest, KnownSmallGraph) {
 
 TEST(ExtendedRegistryTest, OptInViaWorkloadSet) {
   const sys::WorkloadSet base{11, 2, /*include_extended=*/false};
-  EXPECT_THROW(base.profile("cc"), ConfigError);
+  EXPECT_THROW((void)base.profile("cc"), ConfigError);
   const sys::WorkloadSet ext{11, 2, /*include_extended=*/true};
   EXPECT_EQ(ext.profile("cc").name, "cc");
   EXPECT_EQ(ext.profile("tc").name, "tc");

@@ -91,7 +91,7 @@ TEST(LinkModelTest, Hmc11SmallerBudget) {
 
 TEST(LinkModelTest, InvalidReadFractionThrows) {
   const LinkModel link{hmc20_config()};
-  EXPECT_THROW(link.regular_bandwidth_with_pim(0.0, 0.0, 1.5), ConfigError);
+  EXPECT_THROW((void)link.regular_bandwidth_with_pim(0.0, 0.0, 1.5), ConfigError);
 }
 
 }  // namespace

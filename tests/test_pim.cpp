@@ -38,7 +38,9 @@ TEST(PimTest, NamesAreUnique) {
                            PimOpcode::kFpMin};
   for (const auto a : all) {
     for (const auto b : all) {
-      if (a != b) EXPECT_NE(to_string(a), to_string(b));
+      if (a != b) {
+        EXPECT_NE(to_string(a), to_string(b));
+      }
     }
   }
 }

@@ -1,7 +1,7 @@
 // Conformance suite for the controller zoo (DESIGN.md section 11).
 //
-// Parameterized over control::kRegisteredPolicies, so registering a new
-// policy in control/registry.hpp enrolls it here automatically.  The pinned
+// Parameterized over sys::kRegisteredPolicies, so registering a new policy
+// in sys/policy_registry.hpp enrolls it here automatically.  The pinned
 // invariants are the Policy contract:
 //   * throttle_level() stays in [0, max_throttle_level()] at all times;
 //   * consecutive fresh warnings never decrease the level;
@@ -17,14 +17,14 @@
 #include <string>
 #include <vector>
 
-#include "control/registry.hpp"
 #include "runner/experiment.hpp"
+#include "sys/policy_registry.hpp"
 #include "sys/system.hpp"
 
-namespace coolpim::control {
+namespace coolpim::sys {
 namespace {
 
-PolicyBuild make_build(sys::Scenario scenario) {
+PolicyBuild make_build(Scenario scenario) {
   PolicyBuild b;
   b.scenario = scenario;
   // A clean 64-token pool for SW-DynT: skip Eq. 1 static initialization so
@@ -37,14 +37,14 @@ PolicyBuild make_build(sys::Scenario scenario) {
 /// SW-DynT's pool shrink clamps to the issued-token count, so a policy must
 /// be under load for throttling to bite; for the other policies block
 /// acquisition is a no-op that always succeeds, hence the iteration cap.
-void saturate_acquires(Policy& p, Time now) {
+void saturate_acquires(control::Policy& p, Time now) {
   for (std::uint32_t i = 0; i < 2048 && p.acquire_block(now); ++i) {
   }
 }
 
 /// Make any deferred reduction visible: advance past the policy's throttle
 /// delay and poke the launch path (SW-DynT applies pending shrinks there).
-Time settle(Policy& p, Time now) {
+Time settle(control::Policy& p, Time now) {
   const Time later = now + p.throttle_delay() + Time::us(1.0);
   if (p.acquire_block(later)) p.release_block(later);
   return later;
@@ -52,7 +52,7 @@ Time settle(Policy& p, Time now) {
 
 class PolicyContract : public ::testing::TestWithParam<PolicyInfo> {
  protected:
-  std::unique_ptr<Policy> make() { return make_policy(make_build(GetParam().scenario)); }
+  std::unique_ptr<control::Policy> make() { return make_policy(make_build(GetParam().scenario)); }
 };
 
 TEST_P(PolicyContract, StartsUnthrottledAndInRange) {
@@ -165,4 +165,4 @@ TEST(PolicyContractSweep, EveryPolicyIsBitIdenticalAcrossJobCounts) {
 }
 
 }  // namespace
-}  // namespace coolpim::control
+}  // namespace coolpim::sys

@@ -72,10 +72,10 @@ TEST(PowerModelTest, InvalidInputsThrow) {
   const EnergyParams ep;
   OperatingPoint op;
   op.pim_ops_per_sec = -1.0;
-  EXPECT_THROW(compute_power(ep, op), ConfigError);
+  EXPECT_THROW((void)compute_power(ep, op), ConfigError);
   op.pim_ops_per_sec = 0.0;
-  EXPECT_THROW(compute_power(ep, op, 3), ConfigError);
-  EXPECT_THROW(compute_power(ep, op, -1), ConfigError);
+  EXPECT_THROW((void)compute_power(ep, op, 3), ConfigError);
+  EXPECT_THROW((void)compute_power(ep, op, -1), ConfigError);
 }
 
 // Property: total power is monotone in each operating-point component.

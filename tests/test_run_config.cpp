@@ -233,27 +233,28 @@ TEST(RunConfigTest, HmcBackendDefaultsToTheEpochTier) {
 }
 
 TEST(RunConfigTest, HmcBackendResolvesFromCliAndEnvironment) {
-  ScopedEnv env{"COOLPIM_HMC_BACKEND", "event-detailed"};
+  ScopedEnv env{"COOLPIM_HMC_BACKEND", "pim-vault"};
   {
     // Environment over default.
     const RunConfig rc = RunConfig::from_env();
-    EXPECT_EQ(rc.hmc_backend, "event-detailed");
+    EXPECT_EQ(rc.hmc_backend, "pim-vault");
     SystemConfig cfg;
     rc.apply_to(cfg);
-    EXPECT_EQ(cfg.backend, hmc::BackendKind::kEventDetailed);
+    EXPECT_EQ(cfg.backend, hmc::BackendKind::kPimVault);
   }
   // CLI over environment; both flag forms work.
-  Args args{{"--hmc-backend", "pim-vault"}};
+  Args args{{"--hmc-backend", "epoch-throughput"}};
   const RunConfig rc = RunConfig::resolve(&args.argc, args.argv.data());
-  EXPECT_EQ(rc.hmc_backend, "pim-vault");
+  EXPECT_EQ(rc.hmc_backend, "epoch-throughput");
   SystemConfig cfg;
+  cfg.backend = hmc::BackendKind::kPimVault;
   rc.apply_to(cfg);
-  EXPECT_EQ(cfg.backend, hmc::BackendKind::kPimVault);
+  EXPECT_EQ(cfg.backend, hmc::BackendKind::kEpochThroughput);
   EXPECT_TRUE(args.remaining().empty());
 
-  Args eq{{"--hmc-backend=epoch-throughput"}};
+  Args eq{{"--hmc-backend=pim-vault"}};
   const RunConfig rc2 = RunConfig::from_args(&eq.argc, eq.argv.data());
-  EXPECT_EQ(rc2.hmc_backend, "epoch-throughput");
+  EXPECT_EQ(rc2.hmc_backend, "pim-vault");
 }
 
 TEST(RunConfigTest, HmcBackendUnknownNameFailsListingTheRegistry) {
@@ -265,7 +266,7 @@ TEST(RunConfigTest, HmcBackendUnknownNameFailsListingTheRegistry) {
     const std::string what = e.what();
     EXPECT_NE(what.find("warp-speed"), std::string::npos);
     // The message lists the registered vocabulary so the fix is obvious.
-    for (const char* name : {"epoch-throughput", "event-detailed", "pim-vault"}) {
+    for (const char* name : {"epoch-throughput", "pim-vault"}) {
       EXPECT_NE(what.find(name), std::string::npos) << name << " not in: " << what;
     }
   }

@@ -171,7 +171,7 @@ TEST(WorkloadSetTest, AllTenWorkloadsPresent) {
     EXPECT_EQ(p.name, name);
     EXPECT_GT(p.iterations.size(), 0u) << name;
   }
-  EXPECT_THROW(set.profile("nonexistent"), ConfigError);
+  EXPECT_THROW((void)set.profile("nonexistent"), ConfigError);
 }
 
 TEST_F(SystemFixture, BwThrottleCoolsButSlowerThanCoolPim) {

@@ -3,9 +3,9 @@
 
 #include "common/error.hpp"
 
-#include "core/token_pool.hpp"
+#include "control/token_pool.hpp"
 
-namespace coolpim::core {
+namespace coolpim::control {
 namespace {
 
 TEST(TokenPoolTest, AcquireUpToSize) {
@@ -77,4 +77,4 @@ TEST(TokenPoolTest, ShrinkCounterTracksReductions) {
 }
 
 }  // namespace
-}  // namespace coolpim::core
+}  // namespace coolpim::control

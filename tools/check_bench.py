@@ -175,7 +175,7 @@ SCHEMAS = {
         "gate.jobs_bit_identical": bool,
         "gate.pass": bool,
     },
-    "coolpim-bench-sim/4": {
+    "coolpim-bench-sim/5": {
         "quick": bool,
         "queue.events": NUM,
         "queue.wall_ms": NUM,
@@ -201,7 +201,6 @@ SCHEMAS = {
         "backend.xval[].ratio": NUM,
         "backend.xval[].pass": bool,
         "backend.epoch_throughput_ns_per_epoch": NUM,
-        "backend.event_detailed_ns_per_epoch": NUM,
         "backend.pim_vault_ns_per_epoch": NUM,
         "backend.gate_pass": bool,
     },
@@ -227,7 +226,7 @@ THROUGHPUT_KEYS = {
         "cache.warm_speedup_vs_serial",
         "csr.speedup",
     ],
-    "coolpim-bench-sim/4": [
+    "coolpim-bench-sim/5": [
         "queue.events_per_sec",
         "periodic.events_per_sec",
     ],
