@@ -19,10 +19,9 @@ void print_fig4() {
   const hmc::LinkModel link{hmc::hmc20_config()};
   const power::EnergyParams ep;
 
-  // One persistent model per cooling solution: each bandwidth point
-  // warm-starts the steady solve from the previous point's field, which
-  // converges in a fraction of the from-ambient iteration count
-  // (docs/PERFORMANCE.md).
+  // One model per cooling solution.  Its first steady solve builds the
+  // cooling's unit responses; every bandwidth point after that is their
+  // closed-form superposition (docs/PERFORMANCE.md section 2).
   std::vector<thermal::HmcThermalModel> models;
   models.reserve(4);
   for (const auto type : {power::CoolingType::kPassive, power::CoolingType::kLowEndActive,

@@ -24,8 +24,8 @@ void print_fig5() {
   Table t{"Fig. 5 -- Peak DRAM temperature vs PIM offloading rate (commodity sink)"};
   t.header({"PIM rate (op/ns)", "Internal BW (GB/s)", "Peak DRAM (C)", "Phase"});
   double budget_rate = 0.0, limit_rate = 0.0;
-  // Persistent model: each PIM-rate point warm-starts the steady solve from
-  // the previous point's temperature field.
+  // Every PIM-rate point superposes the same cached unit responses
+  // (docs/PERFORMANCE.md section 2).
   thermal::HmcThermalModel model{
       thermal::hmc20_thermal_config(power::CoolingType::kCommodityServer)};
   for (double rate = 0.0; rate <= 6.5 + 1e-9; rate += 0.5) {

@@ -8,10 +8,11 @@
 //    bandwidth -- the Fig. 3 / Fig. 13 operating point.  Both kernels are
 //    bit-identical by contract; the harness cross-checks the final fields.
 //
-//  - steady: solver iterations and wall time for the Fig. 3/4 bandwidth
-//    sweep (Table 2's four cooling solutions x bandwidth 0..320 GB/s),
-//    re-solved cold (from ambient, SteadyStart::kCold) versus warm-started
-//    (SteadyStart::kWarmScaled, extrapolating from the solve history).
+//  - steady: wall time of the Fig. 3/4 bandwidth sweep (Table 2's four
+//    cooling solutions x bandwidth 0..320 GB/s) solved by SOR from ambient
+//    (SteadyStart::kCold) versus superposed from the cached unit responses
+//    (the run path), the one-time cost of building those responses, and the
+//    largest difference between the two fields.
 //
 // Flags: --out FILE (default BENCH_thermal.json), --quick (CI smoke: short
 // timed windows, same schema).  No thresholds are enforced here; the JSON is
@@ -133,49 +134,97 @@ TransientResult measure_transient(bool quick) {
 
 struct SteadyResult {
   std::uint64_t points;
-  std::uint64_t cold_iterations;
-  std::uint64_t warm_iterations;
-  double iteration_reduction;
-  double cold_ms;
-  double warm_ms;
+  std::uint64_t sor_cold_iterations;
+  double sor_cold_ms;
+  double superposed_ms;
+  double speedup;
+  std::uint64_t unit_response_iterations;
+  double unit_response_ms;
+  double max_abs_diff_k;
 };
 
-/// One full Fig. 3/4-style sweep: Table 2's four cooling solutions, each
-/// swept over bandwidth 0..320 GB/s in 40 GB/s steps with a persistent model
-/// per cooling type.  Returns total solver iterations; adds wall ms to *ms.
-std::uint64_t steady_sweep(thermal::SteadyStart start, std::uint64_t* points, double* ms) {
+constexpr power::CoolingType kSweepCoolings[] = {
+    power::CoolingType::kPassive, power::CoolingType::kLowEndActive,
+    power::CoolingType::kCommodityServer, power::CoolingType::kHighEndActive};
+
+/// One full Fig. 3/4-style sweep over `models` (one per cooling solution):
+/// bandwidth 0..320 GB/s in 40 GB/s steps, `solve(model)` at every point.
+/// Returns the point count.
+template <typename Solve>
+std::uint64_t steady_sweep(std::vector<thermal::HmcThermalModel>& models, Solve solve) {
   const hmc::LinkModel link{hmc::hmc20_config()};
   const power::EnergyParams ep;
-  std::uint64_t iters = 0;
   std::uint64_t n = 0;
-  bench::StopWatch clock;
-  for (const auto cooling :
-       {power::CoolingType::kPassive, power::CoolingType::kLowEndActive,
-        power::CoolingType::kCommodityServer, power::CoolingType::kHighEndActive}) {
-    thermal::HmcThermalModel model{thermal::hmc20_thermal_config(cooling)};
+  for (auto& model : models) {
     for (double bw = 0.0; bw <= 320.0 + 1e-9; bw += 40.0) {
       model.apply_power(power::compute_power(ep, bench::read_traffic(link, bw)));
-      iters += model.solve_steady(start);
+      solve(model);
       ++n;
     }
   }
-  *ms += clock.elapsed_ms();
-  *points = n;
-  return iters;
+  return n;
 }
 
 SteadyResult measure_steady(bool quick) {
-  const int reps = quick ? 1 : 3;
+  const int sor_reps = quick ? 1 : 3;
+  const int windows = quick ? 5 : 7;
+  const double window_sec = quick ? 0.02 : 0.12;
   SteadyResult r{};
-  double cold_ms = 0.0, warm_ms = 0.0;
-  for (int i = 0; i < reps; ++i) {
-    r.cold_iterations = steady_sweep(thermal::SteadyStart::kCold, &r.points, &cold_ms);
-    r.warm_iterations = steady_sweep(thermal::SteadyStart::kWarmScaled, &r.points, &warm_ms);
+
+  // One-time unit-response builds for the four stacks, through the uncached
+  // builder (the run path fills a process-wide cache instead).
+  bench::StopWatch build_clock;
+  for (const auto cooling : kSweepCoolings) {
+    for (const auto& unit : thermal::solve_unit_responses(thermal::hmc20_thermal_config(cooling))) {
+      r.unit_response_iterations += unit.sor_iterations;
+    }
   }
-  r.cold_ms = cold_ms / reps;
-  r.warm_ms = warm_ms / reps;
-  r.iteration_reduction =
-      static_cast<double>(r.cold_iterations) / static_cast<double>(r.warm_iterations);
+  r.unit_response_ms = build_clock.elapsed_ms();
+
+  std::vector<thermal::HmcThermalModel> models;
+  for (const auto cooling : kSweepCoolings) {
+    models.emplace_back(thermal::hmc20_thermal_config(cooling));
+  }
+
+  // Untimed accuracy pass, which also fills the cache: superposed against
+  // SOR from ambient at every point, over every node and the sink.
+  r.points = steady_sweep(models, [&](thermal::HmcThermalModel& model) {
+    model.solve_steady(thermal::SteadyStart::kCold);
+    const auto sor_span = model.stack().temperatures_k();
+    const std::vector<double> sor(sor_span.begin(), sor_span.end());
+    const double sor_sink = model.stack().sink_temp().value();
+    model.solve_steady();
+    const auto sup = model.stack().temperatures_k();
+    for (std::size_t i = 0; i < sor.size(); ++i) {
+      r.max_abs_diff_k = std::max(r.max_abs_diff_k, std::abs(sup[i] - sor[i]));
+    }
+    r.max_abs_diff_k =
+        std::max(r.max_abs_diff_k, std::abs(model.stack().sink_temp().value() - sor_sink));
+  });
+
+  // Each side keeps its best sweep: SOR over a few whole sweeps, the
+  // sub-millisecond superposed sweep over repeated timed windows.
+  r.sor_cold_ms = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < sor_reps; ++i) {
+    std::uint64_t iters = 0;
+    bench::StopWatch clock;
+    steady_sweep(models, [&](thermal::HmcThermalModel& model) {
+      iters += model.solve_steady(thermal::SteadyStart::kCold);
+    });
+    r.sor_cold_ms = std::min(r.sor_cold_ms, clock.elapsed_ms());
+    r.sor_cold_iterations = iters;
+  }
+  r.superposed_ms = std::numeric_limits<double>::infinity();
+  for (int w = 0; w < windows; ++w) {
+    std::uint64_t sweeps = 0;
+    bench::StopWatch clock;
+    do {
+      steady_sweep(models, [](thermal::HmcThermalModel& model) { model.solve_steady(); });
+      ++sweeps;
+    } while (clock.elapsed_sec() < window_sec);
+    r.superposed_ms = std::min(r.superposed_ms, clock.elapsed_ms() / static_cast<double>(sweeps));
+  }
+  r.speedup = r.sor_cold_ms / r.superposed_ms;
   return r;
 }
 
@@ -346,7 +395,7 @@ int main(int argc, char** argv) {
   const TallStackResult tall = measure_tall_stack(quick);
 
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-thermal/2");
+  json.kv("schema", "coolpim-bench-thermal/3");
   json.kv("quick", quick);
   json.begin_object("transient");
   json.kv("nodes", t.nodes);
@@ -360,11 +409,13 @@ int main(int argc, char** argv) {
   json.end();
   json.begin_object("steady");
   json.kv("points_per_sweep", s.points);
-  json.kv("cold_iterations", s.cold_iterations);
-  json.kv("warm_iterations", s.warm_iterations);
-  json.kv("iteration_reduction", s.iteration_reduction);
-  json.kv("cold_ms", s.cold_ms);
-  json.kv("warm_ms", s.warm_ms);
+  json.kv("sor_cold_iterations", s.sor_cold_iterations);
+  json.kv("sor_cold_ms", s.sor_cold_ms);
+  json.kv("superposed_ms", s.superposed_ms);
+  json.kv("speedup", s.speedup);
+  json.kv("unit_response_iterations", s.unit_response_iterations);
+  json.kv("unit_response_ms", s.unit_response_ms);
+  json.kv("max_abs_diff_k", s.max_abs_diff_k);
   json.end();
   json.begin_object("batch");
   json.kv("nodes", b.nodes);
@@ -401,8 +452,10 @@ int main(int argc, char** argv) {
   std::cout << "Transient sweep: " << t.fast_ns_per_cell_substep << " ns/cell-substep fast vs "
             << t.reference_ns_per_cell_substep << " reference (" << t.speedup
             << "x, bit-identical=" << (t.bit_identical ? "yes" : "NO") << ")\n"
-            << "Steady sweep:    " << s.warm_iterations << " iters warm-started vs "
-            << s.cold_iterations << " cold (" << s.iteration_reduction << "x fewer)\n"
+            << "Steady sweep:    " << s.superposed_ms << " ms superposed vs " << s.sor_cold_ms
+            << " ms SOR from ambient (" << s.speedup << "x, max diff " << s.max_abs_diff_k
+            << " K); one-time unit responses " << s.unit_response_ms << " ms, "
+            << s.unit_response_iterations << " SOR iterations\n"
             << "Batched sweep:   " << b.widths[2].cells_substeps_per_sec / 1e6
             << " M cells*substeps/s at batch 64 vs " << b.widths[0].cells_substeps_per_sec / 1e6
             << " at batch 1 (" << b.speedup_64_vs_1

@@ -38,7 +38,6 @@ class BwThrottle final : public Policy {
 
   using Policy::on_thermal_warning;
   void on_thermal_warning(Time now, Time raised_at) override {
-    ++warnings_;
     // Coalesce on the raise time so delayed duplicates stay one step.
     if (coalesce_.stale(raised_at)) return;
     const double before = admit_;
@@ -84,7 +83,6 @@ class BwThrottle final : public Policy {
   BwThrottleConfig cfg_;
   double admit_{1.0};
   WarningCoalescer coalesce_;
-  std::uint64_t warnings_{0};
   std::uint64_t reductions_{0};
 };
 

@@ -6,7 +6,6 @@
 namespace coolpim::control {
 
 void HwDynT::on_thermal_warning(Time now, Time raised_at) {
-  ++warnings_;
   // Delayed control updates: accept at most one reduction per settle window,
   // keyed on the time the warning was *raised* so delayed or out-of-order
   // duplicates of an already-handled excursion stay coalesced.

@@ -45,7 +45,6 @@ class HwDynT final : public Policy {
   }
 
   [[nodiscard]] std::uint32_t enabled_warps() const { return enabled_warps_; }
-  [[nodiscard]] std::uint64_t warnings_received() const { return warnings_; }
 
  private:
   HwDynTConfig cfg_;
@@ -54,7 +53,6 @@ class HwDynT final : public Policy {
   std::uint32_t previous_warps_{0};   // value before the pending reduction
   bool has_pending_{false};
   WarningCoalescer coalesce_;
-  std::uint64_t warnings_{0};
   std::uint32_t reductions_{0};
 };
 

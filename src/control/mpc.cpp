@@ -80,7 +80,6 @@ void MpcPolicy::on_epoch(const Reading& reading, Time now) {
 }
 
 void MpcPolicy::on_thermal_warning(Time now, Time raised_at) {
-  ++warnings_;
   if (coalesce_.stale(raised_at)) return;
   coalesce_.mark(raised_at);
   const std::uint32_t step = std::max(1u, cfg_.levels / 8);

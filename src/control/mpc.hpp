@@ -98,7 +98,6 @@ class MpcPolicy final : public Policy {
   Time prev_time_{Time::zero()};
   bool has_prev_{false};
   std::uint64_t adjustments_{0};
-  std::uint64_t warnings_{0};
 };
 
 }  // namespace coolpim::control

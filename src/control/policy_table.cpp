@@ -104,7 +104,6 @@ void TablePolicy::on_epoch(const Reading& reading, Time now) {
 }
 
 void TablePolicy::on_thermal_warning(Time now, Time raised_at) {
-  ++warnings_;
   if (coalesce_.stale(raised_at)) return;
   coalesce_.mark(raised_at);
   const double before = effective_allow();

@@ -80,7 +80,6 @@ class TablePolicy final : public Policy {
 
   /// min(table target, warning-ratcheted cap) -- what the engine sees.
   [[nodiscard]] double effective_allow() const { return std::min(target_, cap_); }
-  [[nodiscard]] double warning_cap() const { return cap_; }
 
  private:
   PolicyTableConfig cfg_;
@@ -88,7 +87,6 @@ class TablePolicy final : public Policy {
   double cap_{1.0};     // reactive ratchet, only ever lowered
   WarningCoalescer coalesce_;
   std::uint64_t adjustments_{0};
-  std::uint64_t warnings_{0};
 };
 
 }  // namespace coolpim::control

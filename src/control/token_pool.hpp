@@ -39,9 +39,6 @@ class TokenPool {
     ++shrink_count_;
   }
 
-  /// Manual resize (used by PTP initialization, Eq. 1).
-  void resize(std::uint32_t new_size) { size_ = new_size; }
-
   [[nodiscard]] std::uint32_t size() const { return size_; }
   [[nodiscard]] std::uint32_t issued() const { return issued_; }
   [[nodiscard]] std::uint32_t available() const { return issued_ < size_ ? size_ - issued_ : 0; }

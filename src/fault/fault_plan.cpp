@@ -142,17 +142,6 @@ std::vector<FaultPlan::Delivery> FaultPlan::collect_due(Time now) {
   return out;
 }
 
-hmc::PacketIntegrity FaultPlan::roll_integrity(Time /*now*/) {
-  if (in_outage_) return hmc::PacketIntegrity::kLost;
-  if (cfg_.warning_drop_rate > 0.0 && rng_.next_bool(cfg_.warning_drop_rate)) {
-    return hmc::PacketIntegrity::kLost;
-  }
-  if (cfg_.errstat_corrupt_rate > 0.0 && rng_.next_bool(cfg_.errstat_corrupt_rate)) {
-    return hmc::PacketIntegrity::kCrcDetected;
-  }
-  return hmc::PacketIntegrity::kClean;
-}
-
 void FaultPlan::enqueue_delivery(Time raised_at, Time deliver_at, bool spurious) {
   const Delivery d{deliver_at, raised_at, spurious};
   pending_.schedule(deliver_at, [this, d] { due_.push_back(d); });

@@ -28,7 +28,6 @@
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "fault/fault_config.hpp"
-#include "hmc/packet.hpp"
 #include "obs/counters.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
@@ -70,10 +69,6 @@ class FaultPlan {
   /// Drain and return every delivery due at or before `now`, in delivery
   /// order.  Call after offer_warning()/maybe_spurious() for the epoch.
   [[nodiscard]] std::vector<Delivery> collect_due(Time now);
-
-  /// Device-model hook (hmc::Device integrity filter): in-flight integrity
-  /// outcome for one response packet, same fate distribution as offer_warning.
-  [[nodiscard]] hmc::PacketIntegrity roll_integrity(Time now);
 
   struct Stats {
     std::uint64_t warnings_offered{0};

@@ -1,8 +1,14 @@
 #include "thermal/hmc_thermal.hpp"
 
+#include <algorithm>
+#include <array>
+#include <mutex>
+#include <span>
+#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "obs/names.hpp"
 #include "thermal/materials.hpp"
 
@@ -24,7 +30,9 @@ HmcThermalConfig hmc11_thermal_config(power::CoolingType cooling, double fpga_wa
   return cfg;
 }
 
-StackSpec HmcThermalModel::build_stack_spec(const HmcThermalConfig& cfg) {
+namespace {
+
+StackSpec build_stack_spec(const HmcThermalConfig& cfg) {
   StackSpec spec;
   spec.floorplan = cfg.floorplan;
   spec.layers.reserve(cfg.dram_dies + 1);
@@ -56,37 +64,217 @@ StackSpec HmcThermalModel::build_stack_spec(const HmcThermalConfig& cfg) {
   return spec;
 }
 
+/// A spatial power pattern: its kind and, for vault-centred power, the
+/// spread radius in cells.
+enum class PatternKind { kLogicUniform, kVaultCentred, kDramUniform, kSink };
+
+struct Pattern {
+  PatternKind kind;
+  int spread_cells{0};
+  bool operator==(const Pattern&) const = default;
+};
+
+struct PatternPower {
+  Pattern pattern;
+  double watts;
+};
+
+constexpr std::size_t kPowerSources = 5;
+
+/// How a breakdown lands on the stack: every power source heats one fixed
+/// pattern.  The logic die's SerDes/PLL background spreads over the die (the
+/// PHY quads occupy most of it); its switching power and the PIM FUs sit at
+/// vault centres; DRAM dynamic + background spreads uniformly over all DRAM
+/// dies; a co-packaged component heats the sink node.
+std::array<PatternPower, kPowerSources> power_layout(const HmcThermalConfig& cfg,
+                                                     const power::PowerBreakdown& power) {
+  return {{{{PatternKind::kLogicUniform}, power.logic_background.value()},
+           {{PatternKind::kVaultCentred, cfg.vault_spread_cells}, power.logic_dynamic.value()},
+           {{PatternKind::kVaultCentred, 1}, power.fu.value()},
+           {{PatternKind::kDramUniform},
+            power.dram_dynamic.value() + power.dram_background.value()},
+           {{PatternKind::kSink}, cfg.co_heater_watts}}};
+}
+
+/// Set the stack's layer power from a layout: logic patterns on layer 0, the
+/// DRAM pattern split evenly over layers 1..N.  The sink pattern is no layer
+/// power; the stack takes it from StackSpec::co_heater_watts.
+void set_layout_power(StackModel& stack, std::span<const PatternPower> layout) {
+  const Floorplan& fp = stack.spec().floorplan;
+  const std::size_t dram_dies = stack.layer_count() - 1;
+  PowerMap logic{fp.grid};
+  PowerMap dram{fp.grid};
+  for (const auto& [pattern, watts] : layout) {
+    switch (pattern.kind) {
+      case PatternKind::kLogicUniform:
+        logic.add(uniform_power(fp, watts));
+        break;
+      case PatternKind::kVaultCentred:
+        logic.add(vault_centered_power(fp, watts, pattern.spread_cells));
+        break;
+      case PatternKind::kDramUniform:
+        dram.add(uniform_power(fp, watts / static_cast<double>(dram_dies)));
+        break;
+      case PatternKind::kSink:
+        break;
+    }
+  }
+  stack.set_layer_power(0, logic);
+  for (std::size_t l = 1; l <= dram_dies; ++l) stack.set_layer_power(l, dram);
+}
+
+/// The distinct patterns superposition needs for `cfg`, in layout order: at
+/// the default spread of 1 logic dynamic and FU share one, and the sink's is
+/// needed only when the config has a co-heater.
+std::vector<Pattern> response_patterns(const HmcThermalConfig& cfg) {
+  std::vector<Pattern> patterns;
+  for (const auto& [p, watts] : power_layout(cfg, power::PowerBreakdown{})) {
+    if (p.kind == PatternKind::kSink && cfg.co_heater_watts <= 0.0) continue;
+    if (std::find(patterns.begin(), patterns.end(), p) == patterns.end()) patterns.push_back(p);
+  }
+  return patterns;
+}
+
+/// SOR from zero rise: ambient 0 K makes the solved field the rise itself.
+/// Heat capacities, ambient and co-heater watts of `spec` do not matter.
+UnitResponse solve_unit_response(StackSpec spec, Pattern pattern) {
+  spec.ambient = Celsius::from_kelvin(0.0);
+  spec.co_heater_watts = pattern.kind == PatternKind::kSink ? 1.0 : 0.0;
+  StackModel stack{std::move(spec)};
+  const PatternPower unit{pattern, 1.0};
+  set_layout_power(stack, std::span<const PatternPower>{&unit, 1});
+  UnitResponse r;
+  r.sor_iterations = stack.solve_steady(1e-9, 200000, SteadyStart::kCold);
+  const auto rise = stack.temperatures_k();
+  r.node_k_per_w.assign(rise.begin(), rise.end());
+  r.sink_k_per_w = stack.sink_temp().as_kelvin();
+  return r;
+}
+
+/// Process-wide unit responses.  The key holds every StackSpec field the
+/// steady state depends on -- the floorplan, each layer's thickness,
+/// conductivity and interface resistance, and the TIM, sink and board
+/// resistances -- plus the pattern (vault_spread_cells enters there).
+/// Ambient and co-heater watts are coefficients, and heat capacities do not
+/// enter the steady state, so none of them is a key field; responses are
+/// therefore bit-identical whichever run fills them.  The mutex is held
+/// across the fill, so each key is solved once; references to the map's
+/// values survive rehashing.
+class ResponseCache {
+ public:
+  const UnitResponse& get(const StackSpec& spec, Pattern pattern) {
+    const std::lock_guard lock{mu_};
+    Key k = key(spec, pattern);
+    auto it = responses_.find(k);
+    if (it == responses_.end()) {
+      it = responses_.emplace(std::move(k), solve_unit_response(spec, pattern)).first;
+    }
+    return it->second;
+  }
+
+ private:
+  using Key = std::vector<double>;
+
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const {
+      HashStream h;
+      for (const double v : k) h.add(v);
+      return static_cast<std::size_t>(h.digest());
+    }
+  };
+
+  static Key key(const StackSpec& spec, Pattern pattern) {
+    const Floorplan& fp = spec.floorplan;
+    Key k{fp.die_width_m,
+          fp.die_height_m,
+          static_cast<double>(fp.vaults_x),
+          static_cast<double>(fp.vaults_y),
+          static_cast<double>(fp.grid.nx),
+          static_cast<double>(fp.grid.ny),
+          spec.tim_r,
+          spec.sink_r.value(),
+          spec.board_r,
+          static_cast<double>(pattern.kind),
+          static_cast<double>(pattern.spread_cells),
+          static_cast<double>(spec.layers.size())};
+    for (const LayerSpec& l : spec.layers) {
+      k.insert(k.end(), {l.thickness_m, l.conductivity, l.interface_r_above});
+    }
+    return k;
+  }
+
+  std::mutex mu_;
+  std::unordered_map<Key, UnitResponse, KeyHash> responses_;
+};
+
+ResponseCache& response_cache() {
+  static ResponseCache cache;
+  return cache;
+}
+
+}  // namespace
+
+std::vector<UnitResponse> solve_unit_responses(const HmcThermalConfig& cfg) {
+  const StackSpec spec = build_stack_spec(cfg);
+  std::vector<UnitResponse> out;
+  for (const Pattern p : response_patterns(cfg)) out.push_back(solve_unit_response(spec, p));
+  return out;
+}
+
 HmcThermalModel::HmcThermalModel(HmcThermalConfig cfg)
     : cfg_{std::move(cfg)}, stack_{build_stack_spec(cfg_)} {
   COOLPIM_REQUIRE(cfg_.dram_dies >= 1, "HMC needs at least one DRAM die");
 }
 
 void HmcThermalModel::apply_power(const power::PowerBreakdown& power) {
-  const auto& fp = cfg_.floorplan;
+  power_ = power;
+  set_layout_power(stack_, power_layout(cfg_, power));
+}
 
-  // Logic die (layer 0): SerDes/PLL background spread over the die (the PHY
-  // quads occupy most of the logic-die area), switching power and PIM FUs at
-  // vault centers.
-  PowerMap logic = uniform_power(fp, power.logic_background.value());
-  logic.add(vault_centered_power(fp, power.logic_dynamic.value(), cfg_.vault_spread_cells));
-  logic.add(vault_centered_power(fp, power.fu.value(), 1));
-  stack_.set_layer_power(0, logic);
+void HmcThermalModel::solve_steady() {
+  const auto layout = power_layout(cfg_, power_);
+  if (responses_.empty()) {
+    const std::vector<Pattern> patterns = response_patterns(cfg_);
+    for (const Pattern p : patterns) responses_.push_back(&response_cache().get(stack_.spec(), p));
+    source_response_.assign(kPowerSources, kNoResponse);
+    for (std::size_t s = 0; s < kPowerSources; ++s) {
+      const auto it = std::find(patterns.begin(), patterns.end(), layout[s].pattern);
+      if (it == patterns.end()) continue;
+      source_response_[s] = static_cast<std::size_t>(it - patterns.begin());
+    }
+    steady_k_.assign(stack_.node_count(), 0.0);
+  }
 
-  // DRAM dies: dynamic + background spread uniformly over all dies.
-  const double per_die =
-      (power.dram_dynamic.value() + power.dram_background.value()) /
-      static_cast<double>(cfg_.dram_dies);
-  const PowerMap dram = uniform_power(fp, per_die);
-  for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) stack_.set_layer_power(l, dram);
+  // Sources sharing a pattern (logic dynamic and FU at spread 1) add up.
+  std::array<double, kPowerSources> coef{};
+  for (std::size_t s = 0; s < kPowerSources; ++s) {
+    if (source_response_[s] != kNoResponse) coef[source_response_[s]] += layout[s].watts;
+  }
+
+  const double ambient_k = cfg_.ambient.as_kelvin();
+  std::fill(steady_k_.begin(), steady_k_.end(), ambient_k);
+  double sink_k = ambient_k;
+  for (std::size_t r = 0; r < responses_.size(); ++r) {
+    const double c = coef[r];
+    const double* rise = responses_[r]->node_k_per_w.data();
+    for (std::size_t i = 0; i < steady_k_.size(); ++i) steady_k_[i] += c * rise[i];
+    sink_k += c * responses_[r]->sink_k_per_w;
+  }
+  stack_.set_temperatures(steady_k_, sink_k);
+  count_steady_solve(0);
 }
 
 std::size_t HmcThermalModel::solve_steady(SteadyStart start) {
   const std::size_t iters = stack_.solve_steady(1e-4, 200000, start);
+  count_steady_solve(iters);
+  return iters;
+}
+
+void HmcThermalModel::count_steady_solve(std::size_t sor_iterations) {
   if (counters_ != nullptr) {
     counters_->counter(obs::names::kThermalSteadySolves).add();
-    counters_->counter(obs::names::kThermalSteadyIterations).add(iters);
+    counters_->counter(obs::names::kThermalSteadyIterations).add(sor_iterations);
   }
-  return iters;
 }
 
 void HmcThermalModel::step(Time dt) {

@@ -8,9 +8,15 @@
 //
 // Free parameters (interface resistance, TIM, spread radius) are fixed by
 // the calibration anchors in DESIGN.md section 6; tests/thermal assert them.
+//
+// Every power source heats one fixed spatial pattern and the RC network is
+// linear in power, so the steady field is ambient plus each source's watts
+// times its pattern's unit response.  solve_steady() evaluates that sum from
+// responses cached process-wide (docs/PERFORMANCE.md section 2).
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "common/units.hpp"
 #include "obs/counters.hpp"
@@ -57,6 +63,23 @@ struct HmcThermalConfig {
 [[nodiscard]] HmcThermalConfig hmc11_thermal_config(power::CoolingType cooling,
                                                     double fpga_watts = 20.0);
 
+/// Steady temperature rise per watt of one spatial power pattern, for every
+/// stack node (StackModel node order) and for the sink node, in K/W.
+struct UnitResponse {
+  std::vector<double> node_k_per_w;
+  double sink_k_per_w{0.0};
+  std::size_t sor_iterations{0};  // SOR iterations the response took
+};
+
+/// The distinct unit responses HmcThermalModel::solve_steady() superposes for
+/// `cfg`: uniform logic background, vault-centred logic dynamic (at
+/// vault_spread_cells), vault-centred FU (the same shape at spread 1),
+/// uniform DRAM over every DRAM die, and the sink co-heater when
+/// co_heater_watts > 0.  Solved by SOR from zero rise to 1e-9 K/W, without
+/// reading or filling the process-wide cache, so benches can time the
+/// one-time build.
+[[nodiscard]] std::vector<UnitResponse> solve_unit_responses(const HmcThermalConfig& cfg);
+
 class HmcThermalModel {
  public:
   explicit HmcThermalModel(HmcThermalConfig cfg);
@@ -64,12 +87,20 @@ class HmcThermalModel {
   /// Distribute a power breakdown onto the stack's layers.
   void apply_power(const power::PowerBreakdown& power);
 
-  /// Steady-state solve with the currently applied power.  Returns the
-  /// solver iteration count.  The temperature field persists between calls,
-  /// so with the default kWarm start a parameter sweep re-converges from the
-  /// previous point's solution instead of from ambient (docs/PERFORMANCE.md);
-  /// pass SteadyStart::kCold to reproduce a from-scratch solve.
-  std::size_t solve_steady(SteadyStart start = SteadyStart::kWarm);
+  /// Steady state of the breakdown last passed to apply_power(), in closed
+  /// form: ambient plus each power source's watts times its pattern's unit
+  /// response (solve_unit_responses).  The responses are solved once per
+  /// distinct stack geometry and pattern, on the first call that needs them,
+  /// and kept in a process-wide cache; after that a solve is a few axpy
+  /// passes over the nodes and allocates nothing.  Counts one
+  /// thermal/steady_solves and no thermal/steady_iterations: the one-time
+  /// response solves belong to no run (docs/OBSERVABILITY.md).
+  void solve_steady();
+
+  /// Reference steady solve: SOR over the stack from `start` to 1e-4 K with
+  /// the applied power.  Returns the iteration count, which it also adds to
+  /// thermal/steady_iterations.  Tests pin solve_steady() against it.
+  std::size_t solve_steady(SteadyStart start);
 
   /// Advance the transient solution.
   void step(Time dt);
@@ -108,10 +139,20 @@ class HmcThermalModel {
   void sync_trace_clock(Time now) { clock_ = now; }
 
  private:
-  [[nodiscard]] static StackSpec build_stack_spec(const HmcThermalConfig& cfg);
+  void count_steady_solve(std::size_t sor_iterations);
 
   HmcThermalConfig cfg_;
   StackModel stack_;
+
+  // Superposition state.  power_ is the last applied breakdown (the
+  // coefficients).  The responses are looked up on the first solve_steady();
+  // source_response_ maps each power source to its entry in responses_
+  // (kNoResponse for an absent co-heater).  steady_k_ is scratch.
+  static constexpr std::size_t kNoResponse = static_cast<std::size_t>(-1);
+  power::PowerBreakdown power_{};
+  std::vector<const UnitResponse*> responses_;
+  std::vector<std::size_t> source_response_;
+  std::vector<double> steady_k_;
 
   obs::Trace trace_;
   obs::CounterRegistry* counters_{nullptr};

@@ -202,33 +202,7 @@ void StackModel::clear_power() { std::fill(power_w_.begin(), power_w_.end(), 0.0
 
 std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
                                      SteadyStart start) {
-  double total_watts = spec_.co_heater_watts;
-  for (const double p : power_w_) total_watts += p;
-
-  if (start == SteadyStart::kCold) {
-    reset_to_ambient();
-  } else if (start == SteadyStart::kWarmScaled && hist1_.watts > 0.0) {
-    // Shape the initial guess from previous solves (the network is linear in
-    // power, so solutions extrapolate well along a sweep).  With two history
-    // points, per-node secant extrapolation in total power tracks even the
-    // changing spatial shape of the power map; with one, scale the rise over
-    // ambient by the total-power ratio.  Either way this only sets the
-    // initial guess -- the solve below converges to the same fixed point.
-    const double amb = spec_.ambient.as_kelvin();
-    double* T = field();
-    const double dp = hist1_.watts - hist2_.watts;
-    if (hist2_.watts > 0.0 && std::abs(dp) > 1e-9 * hist1_.watts) {
-      const double a = (total_watts - hist1_.watts) / dp;
-      for (std::size_t i = 0; i < n_nodes_; ++i) {
-        T[i] = hist1_.field[i] + a * (hist1_.field[i] - hist2_.field[i]);
-      }
-      sink_temp_k_ = hist1_.sink_k + a * (hist1_.sink_k - hist2_.sink_k);
-    } else if (total_watts > 0.0) {
-      const double k = total_watts / hist1_.watts;
-      for (std::size_t i = 0; i < n_nodes_; ++i) T[i] = amb + (T[i] - amb) * k;
-      sink_temp_k_ = amb + (sink_temp_k_ - amb) * k;
-    }
-  }
+  if (start == SteadyStart::kCold) reset_to_ambient();
 
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.nx);
   const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
@@ -281,12 +255,6 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
   }
   COOLPIM_ASSERT_MSG(iter < max_iters, "steady-state solve did not converge");
   mark_temps_changed();
-  // Record this solution for future kWarmScaled guesses.  The swap recycles
-  // the older slot's buffer, so after two solves this is allocation-free.
-  std::swap(hist1_, hist2_);
-  hist1_.field.assign(T, T + n);
-  hist1_.sink_k = sink_temp_k_;
-  hist1_.watts = total_watts;
   return iter + 1;
 }
 
@@ -484,6 +452,13 @@ void StackModel::step_reference(Time dt) {
 void StackModel::reset_to_ambient() {
   std::fill(temp_.begin(), temp_.end(), spec_.ambient.as_kelvin());
   sink_temp_k_ = spec_.ambient.as_kelvin();
+  mark_temps_changed();
+}
+
+void StackModel::set_temperatures(std::span<const double> node_k, double sink_k) {
+  COOLPIM_REQUIRE(node_k.size() == n_nodes_, "temperature field size does not match the stack");
+  std::copy(node_k.begin(), node_k.end(), field());
+  sink_temp_k_ = sink_k;
   mark_temps_changed();
 }
 

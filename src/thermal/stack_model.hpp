@@ -36,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -126,20 +127,15 @@ struct StackNetwork {
   [[nodiscard]] std::size_t substeps_for(Time dt) const;
 };
 
-/// Initial field for a steady-state solve.
-///  - kWarm (default) iterates from the current temperature field unchanged;
-///    this is the historical behaviour and is what in-run re-solves (e.g. the
-///    warm-up equilibrium jumps in sys::System) rely on staying bit-stable.
-///  - kWarmScaled additionally extrapolates the retained field before
-///    iterating: the RC network is linear in power, so the temperature rise
-///    over ambient is prescaled by the ratio of the current total dissipated
-///    power to the total at the previous solve.  Across a parameter sweep
-///    this lands the initial guess within the distribution-shape error of
-///    the true solution and cuts the iteration count by several times.
+/// Initial field for an SOR steady-state solve (StackModel::solve_steady and
+/// the HmcThermalModel::solve_steady(SteadyStart) reference overload).
+///  - kWarm (default) iterates from the current temperature field unchanged.
 ///  - kCold resets the whole stack to ambient first, reproducing a solve on
 ///    a freshly constructed model.
-/// All starts converge to the same solution within the solver tolerance.
-enum class SteadyStart { kWarm, kWarmScaled, kCold };
+/// Both starts converge to the same solution within the solver tolerance.
+/// The run path does not iterate at all: HmcThermalModel::solve_steady()
+/// superposes cached unit responses (docs/PERFORMANCE.md section 2).
+enum class SteadyStart { kWarm, kCold };
 
 class StackModel {
  public:
@@ -180,6 +176,13 @@ class StackModel {
 
   /// Reset all temperatures to ambient.
   void reset_to_ambient();
+
+  /// Overwrite the whole temperature state in one call: every node (Kelvin,
+  /// node order = layer * cells_per_layer() + cell) and the sink node.  This
+  /// is how a steady field computed outside the SOR solver is installed.
+  void set_temperatures(std::span<const double> node_k, double sink_k);
+  /// The node temperatures in Kelvin, same order as set_temperatures().
+  [[nodiscard]] std::span<const double> temperatures_k() const { return {field(), n_nodes_}; }
 
   [[nodiscard]] Celsius cell_temp(std::size_t layer, std::size_t cell) const;
   [[nodiscard]] Celsius layer_peak(std::size_t layer) const;
@@ -234,17 +237,6 @@ class StackModel {
   // The compiled stencil: conductance tables, capacities, sink coupling and
   // the stable step, shared by construction with BatchStackModel.
   StackNetwork net_;
-
-  // Solve history for the kWarmScaled extrapolation: the converged fields
-  // and total dissipated watts of the last two steady solves.  watts <= 0
-  // means "slot empty".  hist1 is the most recent.
-  struct SteadyHistory {
-    std::vector<double> field;  // n_nodes, no ghosts
-    double sink_k{0.0};
-    double watts{-1.0};
-  };
-  SteadyHistory hist1_;
-  SteadyHistory hist2_;
 
   mutable std::vector<LayerStat> stats_;
   mutable bool stats_dirty_{true};

@@ -2,8 +2,6 @@
 //  * the branch-free flat-stencil sweep (StackModel::step) is bit-identical
 //    to the retained guarded reference sweep on randomized stacks,
 //  * the transient kernel is stable at stable_step() under extreme cooling,
-//  * warm-started steady solves land on the cold solution within the solver
-//    tolerance at a fraction of the iterations,
 //  * the hot path performs no heap allocations after construction -- checked
 //    with this binary's counting global operator new (tests are separate
 //    executables, so the override is visible to every allocation here).
@@ -154,39 +152,6 @@ TEST(ThermalKernel, StableAtStableStepUnderExtremeCooling) {
   }
 }
 
-TEST(ThermalKernel, WarmStartMatchesColdWithinToleranceAndCutsIterations) {
-  const hmc::LinkModel link{hmc::hmc20_config()};
-  const power::EnergyParams ep;
-
-  auto read_power = [&](double bw) {
-    hmc::TransactionMix mix;
-    mix.reads_per_sec = bw * 1e9 / 64.0;
-    power::OperatingPoint op;
-    op.link_raw = link.raw_link_bandwidth(mix);
-    op.dram_internal = link.internal_dram_bandwidth(mix);
-    return power::compute_power(ep, op);
-  };
-
-  HmcThermalModel cold{hmc20_thermal_config(power::CoolingType::kCommodityServer)};
-  HmcThermalModel warm{hmc20_thermal_config(power::CoolingType::kCommodityServer)};
-
-  std::size_t cold_iters = 0;
-  std::size_t warm_iters = 0;
-  for (double bw = 0.0; bw <= 320.0 + 1e-9; bw += 40.0) {
-    cold.apply_power(read_power(bw));
-    warm.apply_power(read_power(bw));
-    cold_iters += cold.solve_steady(SteadyStart::kCold);
-    warm_iters += warm.solve_steady(SteadyStart::kWarmScaled);
-    // Same fixed point within (a small multiple of) the solver tolerance.
-    EXPECT_NEAR(warm.peak_dram().value(), cold.peak_dram().value(), 0.05);
-    EXPECT_NEAR(warm.peak_logic().value(), cold.peak_logic().value(), 0.05);
-    EXPECT_NEAR(warm.mean_dram().value(), cold.mean_dram().value(), 0.05);
-  }
-  // The tentpole claim: warm starts at least halve the sweep's iteration
-  // count (measured: ~7x on this sweep, see BENCH_thermal.json).
-  EXPECT_LE(warm_iters * 2, cold_iters);
-}
-
 TEST(ThermalKernel, StepIsAllocationFreeAndReferenceIsNot) {
   HmcThermalModel model{hmc20_thermal_config(power::CoolingType::kCommodityServer)};
   const hmc::LinkModel link{hmc::hmc20_config()};
@@ -214,7 +179,7 @@ TEST(ThermalKernel, StepIsAllocationFreeAndReferenceIsNot) {
   EXPECT_GT(allocations(), ref_before) << "reference kernel should use per-call scratch";
 }
 
-TEST(ThermalKernel, SteadyResolveIsAllocationFreeAfterHistoryWarmup) {
+TEST(ThermalKernel, SuperposedResolveIsAllocationFree) {
   HmcThermalModel model{hmc20_thermal_config(power::CoolingType::kCommodityServer)};
   const hmc::LinkModel link{hmc::hmc20_config()};
   const power::EnergyParams ep;
@@ -227,18 +192,19 @@ TEST(ThermalKernel, SteadyResolveIsAllocationFreeAfterHistoryWarmup) {
     model.apply_power(power::compute_power(ep, op));
   };
 
-  // Two solves populate both history slots; later solves recycle them.
+  // The first solve looks the unit responses up (and may solve them).
   apply_bw(80.0);
-  model.solve_steady(SteadyStart::kWarmScaled);
-  apply_bw(160.0);
-  model.solve_steady(SteadyStart::kWarmScaled);
+  model.solve_steady();
+  const double at_80 = model.peak_dram().value();
 
   // apply_power legitimately builds fresh PowerMaps; the no-allocation
-  // contract covers the solver itself.
+  // contract covers the solve and the stats it invalidates.
   apply_bw(240.0);
   const std::uint64_t before = allocations();
-  model.solve_steady(SteadyStart::kWarmScaled);
-  EXPECT_EQ(allocations(), before) << "warm re-solve allocated";
+  model.solve_steady();
+  const double at_240 = model.peak_dram().value();
+  EXPECT_EQ(allocations(), before) << "superposed re-solve allocated";
+  EXPECT_GT(at_240, at_80);
 }
 
 }  // namespace

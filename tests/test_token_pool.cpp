@@ -63,12 +63,6 @@ TEST(TokenPoolTest, ShrinkFloorsAtZero) {
   EXPECT_EQ(pool.shrink_count(), 1u);
 }
 
-TEST(TokenPoolTest, ResizeForInitialization) {
-  TokenPool pool{4};
-  pool.resize(64);
-  EXPECT_EQ(pool.size(), 64u);
-}
-
 TEST(TokenPoolTest, ShrinkCounterTracksReductions) {
   TokenPool pool{100};
   pool.shrink(4);

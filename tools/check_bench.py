@@ -32,7 +32,7 @@ NUM = (int, float)
 # schema tag -> {key path: expected type(s)}.  A trailing "[]" walks every
 # element of an array.
 SCHEMAS = {
-    "coolpim-bench-thermal/2": {
+    "coolpim-bench-thermal/3": {
         "quick": bool,
         "transient.nodes": NUM,
         "transient.substeps_per_step": NUM,
@@ -43,11 +43,13 @@ SCHEMAS = {
         "transient.speedup": NUM,
         "transient.bit_identical": bool,
         "steady.points_per_sweep": NUM,
-        "steady.cold_iterations": NUM,
-        "steady.warm_iterations": NUM,
-        "steady.iteration_reduction": NUM,
-        "steady.cold_ms": NUM,
-        "steady.warm_ms": NUM,
+        "steady.sor_cold_iterations": NUM,
+        "steady.sor_cold_ms": NUM,
+        "steady.superposed_ms": NUM,
+        "steady.speedup": NUM,
+        "steady.unit_response_iterations": NUM,
+        "steady.unit_response_ms": NUM,
+        "steady.max_abs_diff_k": NUM,
         "batch.nodes": NUM,
         "batch.substeps_per_step": NUM,
         "batch.b1_ns_per_lane_cell_substep": NUM,
@@ -212,9 +214,9 @@ SCHEMAS = {
 # they swing with machine load and scale flags; rates and speedup ratios are
 # the stable signal.
 THROUGHPUT_KEYS = {
-    "coolpim-bench-thermal/2": [
+    "coolpim-bench-thermal/3": [
         "transient.speedup",
-        "steady.iteration_reduction",
+        "steady.speedup",
         "batch.b1_cells_substeps_per_sec",
         "batch.b8_cells_substeps_per_sec",
         "batch.b64_cells_substeps_per_sec",
