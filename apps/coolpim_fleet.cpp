@@ -17,6 +17,7 @@
 // one single-node run of {pagerank, dc, bfs-ta, sssp-dtc} under the node
 // policy (--policy, default hw-dynt), through the parallel runner's
 // key/seed/cache path.
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -66,13 +67,16 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") usage();
-    else if (arg == "--duration-ms") opt.duration_ms = std::atof(need_value(i).c_str());
-    else if (arg == "--rack-spread-c") opt.rack_spread_c = std::atof(need_value(i).c_str());
-    else if (arg == "--queue-cap") opt.queue_cap = static_cast<std::size_t>(std::atoll(need_value(i).c_str()));
+    else if (arg == "--duration-ms") opt.duration_ms = sys::parse_double(arg, need_value(i).c_str());
+    else if (arg == "--rack-spread-c") opt.rack_spread_c = sys::parse_double(arg, need_value(i).c_str());
+    else if (arg == "--queue-cap") opt.queue_cap = sys::parse_u64(arg, need_value(i).c_str());
     else if (arg == "--synthetic") opt.synthetic = true;
     else if (arg == "--arrival-trace") opt.arrival_trace = need_value(i);
-    else if (arg == "--mark-every") opt.mark_every = static_cast<std::uint32_t>(std::atoi(need_value(i).c_str()));
-    else usage(("unknown option: " + arg).c_str());
+    else if (arg == "--mark-every") {
+      const std::uint64_t every = sys::parse_u64(arg, need_value(i).c_str());
+      if (every > UINT32_MAX) usage("mark-every out of range");
+      opt.mark_every = static_cast<std::uint32_t>(every);
+    } else usage(("unknown option: " + arg).c_str());
   }
   if (opt.duration_ms <= 0.0) usage("duration-ms must be positive");
   if (opt.queue_cap == 0) usage("queue-cap must be positive");
@@ -120,12 +124,11 @@ int run(int argc, char** argv) {
   cfg.counter_mark_every = opt.mark_every;
   cfg.profiles = opt.synthetic ? fleet::synthetic_profiles() : measured_profiles(opt);
   if (opt.rc.stack_layers > 0) {
-    // Grid fidelity: every node is one lane of a batched 3-D stack solve
-    // (docs/PERFORMANCE.md section 7).  16-high and taller uses the ADI
-    // kernel -- that is the geometry the explicit stable dt collapses on.
+    // Grid fidelity: every node advances its own 3-D stack (docs/FLEET.md);
+    // 16-high and taller uses the ADI kernel, the geometry the explicit
+    // stable dt collapses on.
     cfg.thermal = fleet::ThermalFidelity::kGrid;
     cfg.grid.dram_dies = opt.rc.stack_layers;
-    cfg.grid.use_adi = opt.rc.stack_layers >= 16;
   }
 
   obs::RunObserver observer;

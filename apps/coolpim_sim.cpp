@@ -19,6 +19,7 @@
 //
 // Tracing is strictly read-only: summary/timeline/CSV output is byte-for-byte
 // identical with or without --trace/--counters, at any --jobs value.
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -111,13 +112,15 @@ CliOptions parse(int argc, char** argv, sys::RunConfig rc) {
       opt.scenarios = parse_scenarios(need_value(i));
     } else if (arg == "--seed") {
       // Historical alias for --graph-seed.
-      opt.rc.graph_seed = static_cast<std::uint64_t>(std::atoll(need_value(i).c_str()));
+      opt.rc.graph_seed = sys::parse_u64(arg, need_value(i).c_str());
     } else if (arg == "--cooling") {
       opt.cooling = parse_cooling(need_value(i));
     } else if (arg == "--cf") {
-      opt.control_factor = static_cast<std::uint32_t>(std::atoi(need_value(i).c_str()));
+      const std::uint64_t cf = sys::parse_u64(arg, need_value(i).c_str());
+      if (cf > UINT32_MAX) usage("cf out of range");
+      opt.control_factor = static_cast<std::uint32_t>(cf);
     } else if (arg == "--target") {
-      opt.target = std::atof(need_value(i).c_str());
+      opt.target = sys::parse_double(arg, need_value(i).c_str());
       if (opt.target <= 0.0) usage("target must be positive");
     } else if (arg == "--pei") {
       opt.pei = true;

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "obs/names.hpp"
 #include "runner/pool.hpp"
-#include "thermal/batch_stack_model.hpp"
 
 namespace coolpim::fleet {
 
@@ -55,7 +54,6 @@ void FleetConfig::validate() const {
     COOLPIM_REQUIRE(grid.watts_per_c > 0.0, "grid thermal: watts per degC must be positive");
     COOLPIM_REQUIRE(grid.heat_capacity_scale > 0.0,
                     "grid thermal: heat-capacity scale must be positive");
-    COOLPIM_REQUIRE(grid.adi_dt_factor >= 1.0, "grid thermal: ADI dt factor must be >= 1");
   }
 }
 
@@ -119,48 +117,36 @@ FleetResult run_fleet(const FleetConfig& cfg) {
   cfg.validate();
   const std::uint64_t key = fleet_key(cfg);
 
+  // Grid fidelity: every node gets its own copy of the (heat-capacity
+  // scaled) stack, idling at that node's ambient.
+  const bool grid = cfg.thermal == ThermalFidelity::kGrid;
+  thermal::StackSpec grid_spec;
+  if (grid) {
+    grid_spec = thermal::hbm_stack_spec(cfg.grid.dram_dies, cfg.grid.grid_nx, cfg.grid.grid_ny);
+    for (auto& layer : grid_spec.layers) {
+      layer.volumetric_heat_capacity *= cfg.grid.heat_capacity_scale;
+    }
+    grid_spec.sink_heat_capacity *= cfg.grid.heat_capacity_scale;
+  }
+
   // Nodes, rack gradient baked into each ambient, per-node seeds from the key.
   std::vector<Node> nodes;
   nodes.reserve(cfg.nodes);
-  std::vector<double> node_ambient_c(cfg.nodes);
   for (std::size_t i = 0; i < cfg.nodes; ++i) {
     NodeConfig nc = cfg.node;
     if (cfg.nodes > 1) {
       nc.ambient_c += cfg.rack_ambient_spread_c * static_cast<double>(i) /
                       static_cast<double>(cfg.nodes - 1);
     }
-    node_ambient_c[i] = nc.ambient_c;
+    std::optional<NodeStack> stack;
+    if (grid) {
+      thermal::StackSpec spec = grid_spec;
+      spec.ambient = Celsius{nc.ambient_c};
+      stack = NodeStack{thermal::StackModel{std::move(spec)}, cfg.grid.watts_per_c,
+                        cfg.grid.adi()};
+    }
     const std::uint64_t node_seed = mix_seed(key ^ (kNodeSalt * (i + 1)));
-    nodes.emplace_back(i, nc, cfg.profiles, node_seed);
-  }
-
-  // Grid fidelity: the whole rack is one BatchStackModel -- node i is lane i,
-  // its per-lane ambient carrying the rack gradient.  serve() and the thermal
-  // advance become separate phases so all lanes march through one lane-major
-  // SoA sweep per epoch instead of N scalar integrations.
-  std::unique_ptr<thermal::BatchStackModel> grid;
-  std::size_t grid_top_layer = 0;
-  std::vector<double> heat_weighted_ms;
-  if (cfg.thermal == ThermalFidelity::kGrid) {
-    thermal::StackSpec spec =
-        thermal::hbm_stack_spec(cfg.grid.dram_dies, cfg.grid.grid_nx, cfg.grid.grid_ny);
-    for (auto& layer : spec.layers) {
-      layer.volumetric_heat_capacity *= cfg.grid.heat_capacity_scale;
-    }
-    spec.sink_heat_capacity *= cfg.grid.heat_capacity_scale;
-    spec.ambient = Celsius{cfg.node.ambient_c};
-    thermal::BatchOptions opt;
-    opt.kernel = cfg.grid.use_adi ? thermal::TransientKernel::kAdi
-                                  : thermal::TransientKernel::kExplicit;
-    opt.adi_dt_factor = cfg.grid.adi_dt_factor;
-    grid = std::make_unique<thermal::BatchStackModel>(spec, cfg.nodes, opt);
-    for (std::size_t i = 0; i < cfg.nodes; ++i) {
-      grid->set_lane_ambient(i, Celsius{node_ambient_c[i]});
-    }
-    grid->reset_to_ambient();
-    if (cfg.observer != nullptr) grid->set_counters(&cfg.observer->counters);
-    grid_top_layer = grid->layer_count() - 1;
-    heat_weighted_ms.resize(cfg.nodes);
+    nodes.emplace_back(i, nc, cfg.profiles, node_seed, std::move(stack));
   }
 
   std::unique_ptr<ArrivalProcess> arrivals;
@@ -181,6 +167,12 @@ FleetResult run_fleet(const FleetConfig& cfg) {
 
   obs::Trace trace =
       cfg.observer != nullptr ? cfg.observer->trace() : obs::Trace{};
+  // Grid fidelity counts one transient step per node per epoch, ticked here
+  // on the main thread so the counter never depends on the shard.
+  obs::CounterCell* thermal_steps =
+      grid && cfg.observer != nullptr
+          ? &cfg.observer->counters.counter(obs::names::kThermalSteps)
+          : nullptr;
 
   FleetResult result;
   std::vector<Request> deferred, still_deferred;
@@ -226,29 +218,11 @@ FleetResult run_fleet(const FleetConfig& cfg) {
     std::swap(deferred, still_deferred);
 
     // ---- Step (parallel): nodes are independent within an epoch, so the
-    // shard over the pool is bit-identical at any jobs count.  Under grid
-    // fidelity only serve() fans out; the thermal advance is one batched
-    // sweep whose lane arithmetic never depends on jobs either.
-    if (grid != nullptr) {
-      pool.parallel_for(
-          cfg.nodes,
-          [&](std::size_t i) { heat_weighted_ms[i] = nodes[i].serve(now_ms, cfg.epoch_ms); },
-          /*grain=*/0);
-      for (std::size_t i = 0; i < cfg.nodes; ++i) {
-        grid->set_layer_power_uniform(
-            i, 0, cfg.grid.watts_per_c * heat_weighted_ms[i] / cfg.epoch_ms);
-      }
-      grid->step(Time::ms(cfg.epoch_ms));
-      for (std::size_t i = 0; i < cfg.nodes; ++i) {
-        // Same peak-DRAM temperature convention as the RC model: DRAM dies
-        // are layers 1..top (layer 0 is logic).
-        nodes[i].finish_epoch(grid->peak_over_layers(i, 1, grid_top_layer).value());
-      }
-    } else {
-      pool.parallel_for(
-          cfg.nodes, [&](std::size_t i) { nodes[i].step(now_ms, cfg.epoch_ms); },
-          /*grain=*/0);
-    }
+    // shard over the pool is bit-identical at any jobs count.
+    pool.parallel_for(
+        cfg.nodes, [&](std::size_t i) { nodes[i].step(now_ms, cfg.epoch_ms); },
+        /*grain=*/0);
+    if (thermal_steps != nullptr) thermal_steps->add(cfg.nodes);
 
     if (cfg.observer != nullptr && cfg.counter_mark_every > 0 &&
         (epoch + 1) % cfg.counter_mark_every == 0) {

@@ -9,8 +9,9 @@
 //      pick (or a node refusing admission) defers the request, and a request
 //      deferred more than max_defer_epochs times is shed.
 //   2. Step (parallel): every node advances dt independently -- service,
-//      thermal integration, warning tally -- sharded across runner::Pool.
-//      Nodes share no mutable state, so jobs=1 and jobs=N are bit-identical.
+//      thermal integration (RC, or the node's own stack grid), warning
+//      tally -- sharded across runner::Pool.  Nodes share no mutable state,
+//      so jobs=1 and jobs=N are bit-identical.
 //   3. Observe: fleet counters/gauges update on the run's RunObserver and a
 //      per-epoch counter mark is recorded every counter_mark_every epochs.
 //
@@ -33,6 +34,7 @@
 #include "hmc/fidelity_names.hpp"
 #include "obs/observer.hpp"
 #include "sys/metrics.hpp"
+#include "thermal/stack_model.hpp"
 
 namespace coolpim::fleet {
 
@@ -41,9 +43,8 @@ enum class ThermalFidelity {
   /// Historical first-order RC pull toward the load-weighted target
   /// (Node::step); cheapest, and the identity baseline for all goldens.
   kRc,
-  /// Full 3-D stack grids: every node is one lane of a single
-  /// thermal::BatchStackModel, and the whole rack advances as one
-  /// lane-major SoA batch per epoch (docs/PERFORMANCE.md section 7).
+  /// Full 3-D stack grids: every node owns one thermal::StackModel and
+  /// advances it inside its own epoch step (docs/FLEET.md).
   kGrid,
 };
 
@@ -73,11 +74,12 @@ struct GridThermalConfig {
   /// shrinks the stack's seconds-scale thermal constant to fleet-epoch
   /// scale so transients resolve within a run.
   double heat_capacity_scale{0.045};
-  /// Transient kernel: explicit Euler (per-lane bit-exact vs the scalar
-  /// reference) or the unconditionally stable ADI line solver for tall
-  /// stacks / fine grids.
-  bool use_adi{false};
-  double adi_dt_factor{32.0};
+
+  /// Stacks of kAdiMinDies DRAM dies and taller advance with the ADI kernel
+  /// (StackModel::step_adi): that is the geometry the explicit stable dt
+  /// collapses on.  Shorter stacks use the explicit step().
+  static constexpr std::size_t kAdiMinDies = 16;
+  [[nodiscard]] bool adi() const { return dram_dies >= kAdiMinDies; }
 
   void feed(HashStream& h) const {
     h.add(static_cast<std::uint64_t>(dram_dies));
@@ -85,8 +87,10 @@ struct GridThermalConfig {
     h.add(static_cast<std::uint64_t>(grid_ny));
     h.add(watts_per_c);
     h.add(heat_capacity_scale);
-    h.add(static_cast<std::uint64_t>(use_adi ? 1 : 0));
-    h.add(adi_dt_factor);
+    // The kernel choice and its substep factor keep the slots they had as
+    // config fields, so keys (and every seed drawn from them) are unchanged.
+    h.add(static_cast<std::uint64_t>(adi() ? 1 : 0));
+    h.add(thermal::kAdiDtFactor);
   }
 };
 

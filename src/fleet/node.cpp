@@ -8,9 +8,9 @@
 namespace coolpim::fleet {
 
 Node::Node(std::size_t index, NodeConfig cfg, const std::vector<ServiceProfile>& profiles,
-           std::uint64_t seed)
+           std::uint64_t seed, std::optional<NodeStack> stack)
     : index_{index}, cfg_{cfg}, profiles_{&profiles}, rng_{seed}, temp_c_{cfg.ambient_c},
-      peak_c_{cfg.ambient_c} {
+      peak_c_{cfg.ambient_c}, stack_{std::move(stack)} {
   COOLPIM_REQUIRE(!profiles.empty(), "node needs at least one service profile");
   COOLPIM_REQUIRE(cfg.queue_capacity > 0, "node queue capacity must be positive");
   COOLPIM_REQUIRE(cfg.tau_ms > 0.0, "thermal time constant must be positive");
@@ -43,6 +43,20 @@ void Node::start_next(double /*now_ms*/) {
 
 void Node::step(double now_ms, double dt_ms) {
   const double heat_weighted_ms = serve(now_ms, dt_ms);
+  if (stack_) {
+    thermal::StackModel& m = stack_->model;
+    m.set_layer_power(0, thermal::uniform_power(m.spec().floorplan,
+                                                stack_->watts_per_c * heat_weighted_ms / dt_ms));
+    if (stack_->adi) {
+      m.step_adi(Time::ms(dt_ms));
+    } else {
+      m.step(Time::ms(dt_ms));
+    }
+    // Same peak-DRAM convention as the RC model: DRAM dies are layers
+    // 1..top (layer 0 is logic).
+    finish_epoch(m.peak_over_layers(1, m.layer_count() - 1).value());
+    return;
+  }
   // First-order RC pull toward the load-weighted steady target.  Exact
   // exponential decay keeps the integration stable at any epoch length.
   const double target_c = cfg_.ambient_c + heat_weighted_ms / dt_ms;

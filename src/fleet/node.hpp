@@ -1,14 +1,15 @@
 // One fleet node: a GPU+HMC system reduced to its interval behaviour.
 //
-// A Node owns a bounded FIFO request queue and a first-order thermal state.
-// Each fleet epoch it serves queued requests at a temperature-dependent
-// speed (DRAM derates above the 85 degC normal limit, exactly as the
-// single-node `hmc::ThermalPolicy` does), integrates its peak-DRAM
-// temperature toward `ambient + busy_fraction * heat(workload)` with time
-// constant tau, and tallies ERRSTAT-style warnings while hot.  The node's
-// throttling policy enters through its service profiles: they are derived
-// from single-node runs *under that policy* (see fleet.hpp), so a fleet of
-// hw-dynt nodes inherits HW-DynT's thermal envelope per node.
+// A Node owns a bounded FIFO request queue and a thermal state: first-order
+// RC by default, or its own 3-D stack grid (NodeStack).  Each fleet epoch it
+// serves queued requests at a temperature-dependent speed (DRAM derates
+// above the 85 degC normal limit, exactly as the single-node
+// `hmc::ThermalPolicy` does), integrates its peak-DRAM temperature toward
+// `ambient + busy_fraction * heat(workload)` -- with time constant tau, or
+// through the stack -- and tallies ERRSTAT-style warnings while hot.  The
+// node's throttling policy enters through its service profiles: they are
+// derived from single-node runs *under that policy* (see fleet.hpp), so a
+// fleet of hw-dynt nodes inherits HW-DynT's thermal envelope per node.
 //
 // Determinism contract: step() touches only this node's state, so the fleet
 // loop can fan nodes out across runner::Pool with bit-identical results at
@@ -19,10 +20,12 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "fleet/request.hpp"
+#include "thermal/stack_model.hpp"
 
 namespace coolpim::fleet {
 
@@ -84,6 +87,17 @@ struct NodeSummary {
   double served_pim_ops{0.0};
 };
 
+/// Grid-fidelity node thermals (fleet.hpp ThermalFidelity::kGrid): the
+/// node's own 3-D stack replaces the first-order RC update.  Each epoch the
+/// RC load signal (heat-weighted busy ms / epoch ms, in degC) drives the
+/// logic die at watts_per_c watts per degC, and the node reads back the
+/// stack's peak DRAM temperature.
+struct NodeStack {
+  thermal::StackModel model;  ///< spec ambient = this node's ambient
+  double watts_per_c{0.0};
+  bool adi{false};  ///< step_adi() instead of the explicit step()
+};
+
 /// One completed request's latency sample.
 struct LatencySample {
   double latency_ms{0.0};
@@ -92,8 +106,10 @@ struct LatencySample {
 
 class Node {
  public:
+  /// `stack` switches the node to grid-fidelity thermals; without it the
+  /// node runs the first-order RC model.
   Node(std::size_t index, NodeConfig cfg, const std::vector<ServiceProfile>& profiles,
-       std::uint64_t seed);
+       std::uint64_t seed, std::optional<NodeStack> stack = std::nullopt);
 
   /// Admission check + enqueue; returns false (request not taken) on a full
   /// queue or a node at the admission ceiling.
@@ -101,20 +117,7 @@ class Node {
 
   /// Advance one fleet epoch [now_ms, now_ms + dt_ms): serve, heat, tally.
   /// Touches only this node's state (safe to run concurrently across nodes).
-  /// Composed of serve() + the built-in first-order RC update + finish_epoch;
-  /// the grid-fidelity fleet path (fleet.hpp ThermalFidelity::kGrid) calls
-  /// the pieces itself, replacing the RC update with a BatchStackModel lane.
   void step(double now_ms, double dt_ms);
-
-  /// Serve queued requests for one epoch and return the heat-weighted busy
-  /// time (integral of profile heat_c over busy ms).  First half of step();
-  /// touches only this node's state.
-  double serve(double now_ms, double dt_ms);
-
-  /// Commit this epoch's temperature (degC, peak-DRAM convention) computed
-  /// by an external thermal model: updates peak tracking, the warning tally
-  /// and the EWMA warning rate.  Second half of step().
-  void finish_epoch(double temp_c);
 
   [[nodiscard]] NodeView view() const;
   [[nodiscard]] NodeSummary summary() const;
@@ -124,6 +127,12 @@ class Node {
 
  private:
   void start_next(double now_ms);
+  /// Serve queued requests for one epoch; returns the heat-weighted busy
+  /// time (integral of profile heat_c over busy ms).
+  double serve(double now_ms, double dt_ms);
+  /// Commit this epoch's temperature (degC, peak-DRAM convention): peak
+  /// tracking, the warning tally and the EWMA warning rate.
+  void finish_epoch(double temp_c);
 
   std::size_t index_;
   NodeConfig cfg_;
@@ -138,6 +147,7 @@ class Node {
   double temp_c_;
   double peak_c_;
   double warning_rate_{0.0};
+  std::optional<NodeStack> stack_;
 
   NodeSummary summary_{};
   std::vector<LatencySample> latencies_;

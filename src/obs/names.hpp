@@ -56,11 +56,6 @@ inline constexpr std::string_view kThermalSteadySolves = "thermal/steady_solves"
 inline constexpr std::string_view kThermalSteadyIterations = "thermal/steady_iterations";
 inline constexpr std::string_view kThermalSteps = "thermal/steps";
 inline constexpr std::string_view kThermalWarningCrossings = "thermal/warning_crossings";
-// Batched solver (BatchStackModel): lanes advanced per step() call, explicit
-// sweep passes and ADI passes performed (each pass covers every lane).
-inline constexpr std::string_view kThermalBatchLanes = "thermal/batch_lanes";
-inline constexpr std::string_view kThermalBatchSweeps = "thermal/batch_sweep_passes";
-inline constexpr std::string_view kThermalBatchAdiSolves = "thermal/batch_adi_solves";
 // graph (workload profiling)
 inline constexpr std::string_view kGraphProfileCacheHits = "graph/profile_cache_hits";
 inline constexpr std::string_view kGraphProfileCacheMisses = "graph/profile_cache_misses";
@@ -133,9 +128,6 @@ inline constexpr std::string_view kAllCounters[] = {
     kThermalSteadyIterations,
     kThermalSteps,
     kThermalWarningCrossings,
-    kThermalBatchLanes,
-    kThermalBatchSweeps,
-    kThermalBatchAdiSolves,
     kGraphProfileCacheHits,
     kGraphProfileCacheMisses,
     kGraphProfilesComputed,

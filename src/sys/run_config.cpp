@@ -1,5 +1,8 @@
 #include "sys/run_config.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
@@ -11,23 +14,27 @@
 
 namespace coolpim::sys {
 
-namespace {
-
 double parse_double(std::string_view name, const char* text) {
   char* end = nullptr;
   const double v = std::strtod(text, &end);
-  COOLPIM_REQUIRE(end != text && *end == '\0',
+  COOLPIM_REQUIRE(end != text && *end == '\0' && std::isfinite(v),
                   std::string{name} + ": expected a number, got '" + text + "'");
   return v;
 }
 
 std::uint64_t parse_u64(std::string_view name, const char* text) {
+  // strtoull would accept a sign (and wrap "-3" to 2^64 - 3) and saturate on
+  // overflow; only plain in-range decimal digits pass.
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(text, &end, 10);
-  COOLPIM_REQUIRE(end != text && *end == '\0',
+  COOLPIM_REQUIRE(std::isdigit(static_cast<unsigned char>(text[0])) && *end == '\0' &&
+                      errno != ERANGE,
                   std::string{name} + ": expected a non-negative integer, got '" + text + "'");
   return v;
 }
+
+namespace {
 
 bool parse_bool(std::string_view name, const char* text) {
   const std::string_view t{text};

@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "fault/fault_config.hpp"
 #include "sys/workloads.hpp"
@@ -26,6 +27,13 @@
 namespace coolpim::sys {
 
 struct SystemConfig;
+
+/// Strict numeric parsing for RunConfig and the entry points' own flags: all
+/// of `text` must be a finite number (parse_double) or plain decimal digits
+/// in uint64 range (parse_u64).  Anything else throws ConfigError naming
+/// `name`.
+[[nodiscard]] double parse_double(std::string_view name, const char* text);
+[[nodiscard]] std::uint64_t parse_u64(std::string_view name, const char* text);
 
 struct RunConfig {
   /// Runner parallelism; 0 = all hardware threads (COOLPIM_JOBS / --jobs).
@@ -64,7 +72,7 @@ struct RunConfig {
   /// DRAM die count for the stack geometry (COOLPIM_STACK_LAYERS /
   /// --stack-layers, range [0, 64]); 0 keeps the entry point's default
   /// geometry, >0 selects an hbm_stack_spec-style stack that tall (16-high
-  /// is the HBM-class geometry where the ADI kernel earns its keep).
+  /// is the HBM-class geometry where StackModel::step_adi earns its keep).
   unsigned stack_layers{0};
   /// Fault environment (COOLPIM_FAULT_* / --fault-*); default = fault-free.
   fault::FaultConfig fault{};

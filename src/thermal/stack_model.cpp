@@ -165,13 +165,11 @@ std::size_t StackNetwork::substeps_for(Time dt) const {
   const double n = std::ceil(dt.as_sec() / stable_dt.as_sec());
   // Fail loudly on the tall-stack/fine-grid collapse: an explicit step that
   // needs millions of substeps is a hang masquerading as progress.  The ADI
-  // kernel (BatchStackModel, TransientKernel::kAdi) is unconditionally
-  // stable and exists for exactly this regime.
+  // kernel is unconditionally stable and exists for exactly this regime.
   COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
                   "explicit transient step needs " + std::to_string(n) +
                       " substeps (> kMaxTransientSubsteps); stable dt has collapsed -- "
-                      "shorten the step or use the ADI kernel "
-                      "(thermal::TransientKernel::kAdi)");
+                      "shorten the step or use the ADI kernel (StackModel::step_adi)");
   return static_cast<std::size_t>(n);
 }
 
@@ -188,6 +186,19 @@ StackModel::StackModel(StackSpec spec) : spec_{std::move(spec)} {
   power_w_.assign(n_nodes_, 0.0);
   stats_.resize(spec_.layers.size());
   net_ = StackNetwork::build(spec_);
+
+  const std::size_t n_layers = spec_.layers.size();
+  const auto& grid = spec_.floorplan.grid;
+  adi_.cp_x.assign(n_layers * grid.nx, 0.0);
+  adi_.inv_x.assign(n_layers * grid.nx, 0.0);
+  adi_.cp_y.assign(n_layers * grid.ny, 0.0);
+  adi_.inv_y.assign(n_layers * grid.ny, 0.0);
+  adi_.cp_z.assign(n_layers, 0.0);
+  adi_.inv_z.assign(n_layers, 0.0);
+  adi_.rc.assign(n_layers, 0.0);
+  adi_.gx.assign(n_layers, 0.0);
+  adi_.gy.assign(n_layers, 0.0);
+  adi_.gu.assign(n_layers, 0.0);
 }
 
 void StackModel::set_layer_power(std::size_t layer, const PowerMap& power) {
@@ -266,7 +277,11 @@ namespace {
 // supports ifunc multiversioning (x86-64 ELF).  AVX2 widens the vectors to
 // four lanes; it does not enable FMA, so every lane performs the same IEEE
 // mul/add/div sequence and results stay bit-identical to the default clone.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute)
+// ThreadSanitizer builds get the default clone only: GCC runs the ifunc
+// resolvers instrumented before the TSan runtime is up, and the binary
+// crashes at load.
+#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
+    !defined(__SANITIZE_THREAD__)
 #if __has_attribute(target_clones)
 #define COOLPIM_STENCIL_CLONES __attribute__((target_clones("default", "avx2")))
 #endif
@@ -343,6 +358,95 @@ double substep_top(const double* __restrict T, double* __restrict N,
   return sink_flow;
 }
 
+/// Thomas solve of `lines` independent uniform implicit diffusion lines of
+/// length m -- the x and y passes of step_adi():
+///   (C/h) T* - g * (neighbour coupling) = (C/h) T^n.
+/// Element k of line j sits at k*stride + j*spacing.  The inner loops run
+/// over the lines, so the y pass (lines = the contiguous x index, spacing 1)
+/// vectorizes and the x pass (lines = rows) overlaps independent
+/// recurrences; per element the arithmetic is the same either way.  cp/inv
+/// are the precomputed elimination coefficients and S is the forward-sweep
+/// store at the same offsets as T.
+COOLPIM_STENCIL_CLONES
+void thomas_lines(double* __restrict T, double* __restrict S, const double* __restrict cp,
+                  const double* __restrict inv, double g, double rc, std::ptrdiff_t m,
+                  std::ptrdiff_t stride, std::ptrdiff_t lines, std::ptrdiff_t spacing) {
+  const double i0 = inv[0];
+  for (std::ptrdiff_t j = 0; j < lines; ++j) S[j * spacing] = rc * T[j * spacing] * i0;
+  for (std::ptrdiff_t k = 1; k < m; ++k) {
+    const double* Tk = T + k * stride;
+    const double* Sp = S + (k - 1) * stride;
+    double* Sk = S + k * stride;
+    const double ik = inv[k];
+    for (std::ptrdiff_t j = 0; j < lines; ++j) {
+      Sk[j * spacing] = (rc * Tk[j * spacing] + g * Sp[j * spacing]) * ik;
+    }
+  }
+  {
+    double* Tl = T + (m - 1) * stride;
+    const double* Sl = S + (m - 1) * stride;
+    for (std::ptrdiff_t j = 0; j < lines; ++j) Tl[j * spacing] = Sl[j * spacing];
+  }
+  for (std::ptrdiff_t k = m - 2; k >= 0; --k) {
+    double* Tk = T + k * stride;
+    const double* Sk = S + k * stride;
+    const double* Tn = T + (k + 1) * stride;
+    const double cpk = cp[k];
+    for (std::ptrdiff_t j = 0; j < lines; ++j) {
+      Tk[j * spacing] = Sk[j * spacing] - cpk * Tn[j * spacing];
+    }
+  }
+}
+
+/// Thomas solve of every vertical column at once -- the z pass of
+/// step_adi().  Column c's layer-k node sits at k*nc + c; the inner loops run
+/// over the contiguous cell index.  The columns carry the power sources, the
+/// board leak (layer 0) and the TIM coupling against the lagged sink
+/// temperature (top layer).  gup[k] is the layer k -> k+1 link and rc[k] =
+/// cap_k / h.
+COOLPIM_STENCIL_CLONES
+void thomas_columns(double* __restrict T, double* __restrict S, const double* __restrict pw,
+                    const double* __restrict cp, const double* __restrict inv,
+                    const double* __restrict gup, const double* __restrict rc,
+                    double g_board, double ambient_k, double g_sink, double sink_k,
+                    std::ptrdiff_t m, std::ptrdiff_t nc) {
+  {
+    const double i0 = inv[0];
+    const double rc0 = rc[0];
+    const double g_top = (m == 1) ? g_sink : 0.0;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) {
+      const double d = rc0 * T[c] + pw[c] + g_board * ambient_k + g_top * sink_k;
+      S[c] = d * i0;
+    }
+  }
+  for (std::ptrdiff_t k = 1; k < m; ++k) {
+    const double* Tk = T + k * nc;
+    const double* pwk = pw + k * nc;
+    const double* Sp = S + (k - 1) * nc;
+    double* Sk = S + k * nc;
+    const double gd = gup[k - 1];
+    const double ik = inv[k];
+    const double rck = rc[k];
+    const double g_top = (k == m - 1) ? g_sink : 0.0;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) {
+      const double d = rck * Tk[c] + pwk[c] + g_top * sink_k;
+      Sk[c] = (d + gd * Sp[c]) * ik;
+    }
+  }
+  {
+    double* Tl = T + (m - 1) * nc;
+    const double* Sl = S + (m - 1) * nc;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) Tl[c] = Sl[c];
+  }
+  for (std::ptrdiff_t k = m - 2; k >= 0; --k) {
+    double* Tk = T + k * nc;
+    const double* Sk = S + k * nc;
+    const double* Tn = T + (k + 1) * nc;
+    const double cpk = cp[k];
+    for (std::ptrdiff_t c = 0; c < nc; ++c) Tk[c] = Sk[c] - cpk * Tn[c];
+  }
+}
+
 }  // namespace
 
 void StackModel::step(Time dt) {
@@ -402,6 +506,113 @@ void StackModel::step(Time dt) {
                             sink_t, sink_flow);
     sink_temp_k_ += h * sink_flow / spec_.sink_heat_capacity;
     temp_.swap(scratch_);
+  }
+  mark_temps_changed();
+}
+
+void StackModel::refactor_adi(double h) {
+  if (adi_.h == h) return;
+  const std::size_t n_layers = spec_.layers.size();
+  const auto& grid = spec_.floorplan.grid;
+  const std::size_t nc = n_cells_;
+
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    adi_.rc[l] = net_.cap[l * nc] / h;
+    adi_.gx[l] = grid.nx > 1 ? net_.g_east[l * nc] : 0.0;
+    adi_.gy[l] = grid.ny > 1 ? net_.g_north[l * nc] : 0.0;
+    adi_.gu[l] = net_.g_up[l * nc];  // zero at the top layer
+  }
+
+  // Uniform tridiagonal factorization: diag rc+g at the ends, rc+2g in the
+  // interior, off-diagonals -g.  cp holds c'_k (negative), inv the reciprocal
+  // elimination denominators.
+  const auto factor_uniform = [](double rc, double g, double* cp, double* inv,
+                                 std::size_t m) {
+    double den = rc + (m > 1 ? g : 0.0);
+    inv[0] = 1.0 / den;
+    cp[0] = (m > 1 ? -g : 0.0) * inv[0];
+    for (std::size_t k = 1; k < m; ++k) {
+      const double b = rc + (k + 1 < m ? 2.0 * g : g);
+      den = b + g * cp[k - 1];  // b - a*cp with a = -g
+      inv[k] = 1.0 / den;
+      cp[k] = (k + 1 < m ? -g : 0.0) * inv[k];
+    }
+  };
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    factor_uniform(adi_.rc[l], adi_.gx[l], adi_.cp_x.data() + l * grid.nx,
+                   adi_.inv_x.data() + l * grid.nx, grid.nx);
+    factor_uniform(adi_.rc[l], adi_.gy[l], adi_.cp_y.data() + l * grid.ny,
+                   adi_.inv_y.data() + l * grid.ny, grid.ny);
+  }
+
+  // Vertical column: per-layer up/down links plus the board leak at layer 0
+  // and the (lagged-sink) TIM coupling at the top layer.
+  const double g_board = net_.g_board[0];
+  const double g_sink = net_.g_sink[(n_layers - 1) * nc];
+  double den = 0.0;
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const double gu_l = adi_.gu[l];
+    const double gd_l = l > 0 ? adi_.gu[l - 1] : 0.0;
+    double b = adi_.rc[l] + gu_l + gd_l;
+    if (l == 0) b += g_board;
+    if (l + 1 == n_layers) b += g_sink;
+    den = (l == 0) ? b : b + gd_l * adi_.cp_z[l - 1];  // b - a*cp with a = -gd
+    adi_.inv_z[l] = 1.0 / den;
+    adi_.cp_z[l] = -gu_l * adi_.inv_z[l];
+  }
+
+  adi_.sink_rc = spec_.sink_heat_capacity / h;
+  adi_.inv_sink_den = 1.0 / (adi_.sink_rc + net_.sink_g_total);
+  adi_.h = h;
+}
+
+void StackModel::step_adi(Time dt) {
+  COOLPIM_REQUIRE(dt > Time::zero(), "transient step must be positive");
+  const double n = std::ceil(dt.as_sec() / (net_.stable_dt.as_sec() * kAdiDtFactor));
+  COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
+                  "ADI transient step needs " + std::to_string(n) +
+                      " substeps (> kMaxTransientSubsteps); split the step");
+  const std::size_t n_sub = n < 1.0 ? std::size_t{1} : static_cast<std::size_t>(n);
+  const double h = dt.as_sec() / static_cast<double>(n_sub);
+  refactor_adi(h);
+
+  const auto& grid = spec_.floorplan.grid;
+  const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(grid.nx);
+  const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(grid.ny);
+  const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
+  const std::size_t n_layers = spec_.layers.size();
+  const double ambient_k = spec_.ambient.as_kelvin();
+  const double g_board = net_.g_board[0];
+  const double g_sink = net_.g_sink[(n_layers - 1) * n_cells_];
+  double* T = field();
+  double* S = scratch_.data() + nc;  // forward-sweep store, same offsets as T
+
+  for (std::size_t s = 0; s < n_sub; ++s) {
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(l) * nc;
+      // x pass: implicit lateral diffusion along each row of the layer.
+      if (nx > 1) {
+        thomas_lines(T + base, S + base, adi_.cp_x.data() + l * grid.nx,
+                     adi_.inv_x.data() + l * grid.nx, adi_.gx[l], adi_.rc[l], nx, 1, ny, nx);
+      }
+      // y pass: implicit lateral diffusion along each column of the layer.
+      if (ny > 1) {
+        thomas_lines(T + base, S + base, adi_.cp_y.data() + l * grid.ny,
+                     adi_.inv_y.data() + l * grid.ny, adi_.gy[l], adi_.rc[l], ny, nx, nx, 1);
+      }
+    }
+    // z pass: implicit vertical conduction carrying power, board leak and the
+    // lagged-sink TIM coupling.
+    thomas_columns(T, S, power_w_.data(), adi_.cp_z.data(), adi_.inv_z.data(), adi_.gu.data(),
+                   adi_.rc.data(), g_board, ambient_k, g_sink, sink_temp_k_,
+                   static_cast<std::ptrdiff_t>(n_layers), nc);
+    // Implicit sink update against the fresh top-layer field.
+    const double* top = T + static_cast<std::ptrdiff_t>(n_layers - 1) * nc;
+    double top_sum = 0.0;
+    for (std::ptrdiff_t c = 0; c < nc; ++c) top_sum += top[c];
+    sink_temp_k_ = (adi_.sink_rc * sink_temp_k_ + net_.g_sink_ambient * ambient_k +
+                    spec_.co_heater_watts + g_sink * top_sum) *
+                   adi_.inv_sink_den;
   }
   mark_temps_changed();
 }

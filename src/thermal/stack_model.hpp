@@ -21,7 +21,8 @@
 //            ambient
 //
 // Solvers: steady state via Gauss-Seidel/SOR; transient via explicit Euler
-// with an automatically chosen stable sub-step.
+// with an automatically chosen stable sub-step (step), or via the
+// unconditionally stable ADI line solver for tall stacks (step_adi).
 //
 // Hot-path layout (docs/PERFORMANCE.md): the stencil is precomputed into
 // flat structure-of-arrays neighbour-conductance tables (one entry per node
@@ -75,25 +76,29 @@ struct StackSpec {
 /// HBM-class stack: `dram_dies` thin DRAM dies over one logic die on an
 /// nx x ny grid.  The 16-high variant with a fine grid is the multi-stack
 /// geometry of the HBM thermal-vulnerability literature; its explicit-Euler
-/// stable dt collapses with cell area, which is what the ADI kernel of
-/// BatchStackModel exists for (docs/PERFORMANCE.md section 7).
+/// stable dt collapses with cell area, which is what StackModel::step_adi
+/// exists for (docs/PERFORMANCE.md section 7).
 [[nodiscard]] StackSpec hbm_stack_spec(std::size_t dram_dies, std::size_t grid_nx,
                                        std::size_t grid_ny);
 
-/// Ceiling on the explicit-Euler substep count a single step()/step_reference()
+/// Ceiling on the substep count a single step()/step_reference()/step_adi()
 /// call may take.  Tall stacks on fine grids shrink the stable dt quadratically
 /// with cell area; silently looping tens of millions of substeps behind one
-/// step() call is a hang, not a simulation.  substeps_for() throws ConfigError
-/// past this bound and names the ADI kernel as the way out.
+/// call is a hang, not a simulation.  The integrators throw ConfigError past
+/// this bound; the explicit one names step_adi() as the way out.
 inline constexpr std::size_t kMaxTransientSubsteps = std::size_t{1} << 22;
+
+/// step_adi() substep length as a multiple of the explicit stable dt.  The
+/// ADI pass is unconditionally stable, so this trades splitting error against
+/// work; 32 keeps a 16-high HBM stack within the documented tolerance of a
+/// tight-dt explicit reference (DESIGN.md section 13).
+inline constexpr double kAdiDtFactor = 32.0;
 
 /// The flat-stencil RC network compiled from a StackSpec: per-node
 /// neighbour-conductance tables (zero where the neighbour does not exist),
 /// mirrored west/south/down views, ghost-padded offset copies for the
 /// branch-free sweeps, heat capacities, the lumped-sink coupling and the
-/// explicit-Euler stable step.  Shared verbatim by StackModel (one grid) and
-/// BatchStackModel (N lanes over one network), so the two solvers cannot
-/// drift apart on stencil construction.
+/// explicit-Euler stable step.
 struct StackNetwork {
   std::size_t n_cells{0};
   std::size_t n_nodes{0};
@@ -165,13 +170,24 @@ class StackModel {
   /// equivalence-test oracle and the perf-bench baseline.
   void step_reference(Time dt);
 
+  /// Advance by `dt` with the alternating-direction implicit kernel: per
+  /// substep, Lie-split backward-Euler line solves (Thomas algorithm) along
+  /// x, then y, then z -- the z pass carries the power, the board leak and
+  /// the TIM coupling against the lagged sink -- then an implicit sink
+  /// update.  Unconditionally stable: substeps = ceil(dt / (kAdiDtFactor *
+  /// stable_step())), at least 1, and ConfigError past kMaxTransientSubsteps.
+  /// Not bit-identical to step(); tolerance-bounded against a tight-dt
+  /// explicit run (DESIGN.md section 13).  No heap allocation: the line
+  /// factorizations are sized at construction and rebuilt in place when the
+  /// substep length changes.
+  void step_adi(Time dt);
+
   /// Sub-steps step()/step_reference() perform for a given dt.  Throws
   /// ConfigError (never silently loops) when the count would exceed
   /// kMaxTransientSubsteps -- see StackNetwork::substeps_for.
   [[nodiscard]] std::size_t substeps_for(Time dt) const;
 
-  /// The compiled stencil network (read-only; BatchStackModel shares the
-  /// same construction path).
+  /// The compiled stencil network (read-only).
   [[nodiscard]] const StackNetwork& network() const { return net_; }
 
   /// Reset all temperatures to ambient.
@@ -218,6 +234,9 @@ class StackModel {
   }
   [[nodiscard]] const std::vector<LayerStat>& stats() const;
   void mark_temps_changed() { stats_dirty_ = true; }
+  /// Rebuild the step_adi() line factorizations for substep length h, in
+  /// place (no allocation); a no-op when the plan already matches h.
+  void refactor_adi(double h);
 
   StackSpec spec_;
   std::size_t n_cells_{0};
@@ -225,8 +244,9 @@ class StackModel {
 
   // Temperatures in Kelvin, ghost-padded: [n_cells ghosts][n_nodes][n_cells
   // ghosts].  Ghost entries hold ambient, are never written, and are only
-  // ever multiplied by zero conductances.  `scratch_` has the same shape and
-  // is the persistent double-buffer partner the transient sweep swaps with.
+  // ever multiplied by zero conductances.  `scratch_` has the same shape: the
+  // persistent double-buffer partner the explicit sweep swaps with, and the
+  // Thomas forward-sweep store of step_adi().
   std::vector<double> temp_;
   std::vector<double> scratch_;
   double sink_temp_k_{0.0};
@@ -235,8 +255,26 @@ class StackModel {
   std::vector<double> power_w_;
 
   // The compiled stencil: conductance tables, capacities, sink coupling and
-  // the stable step, shared by construction with BatchStackModel.
+  // the stable step.
   StackNetwork net_;
+
+  // step_adi() factorizations for the current substep length: per-layer
+  // Thomas coefficients along x and y, the column factorization along z,
+  // per-layer cap/h and link conductances, and the sink-update terms.
+  // Cell geometry and material are uniform within a layer, so one line
+  // factorization per (layer, direction) covers every row and column.
+  struct AdiPlan {
+    double h{0.0};                    // substep the plan was built for; 0 = unbuilt
+    std::vector<double> cp_x, inv_x;  // [layer][x]
+    std::vector<double> cp_y, inv_y;  // [layer][y]
+    std::vector<double> cp_z, inv_z;  // [layer]
+    std::vector<double> rc;           // [layer] cap/h
+    std::vector<double> gx, gy;       // [layer] lateral link conductance
+    std::vector<double> gu;           // [layer] layer -> layer+1 link (0 at top)
+    double sink_rc{0.0};
+    double inv_sink_den{0.0};
+  };
+  AdiPlan adi_;
 
   mutable std::vector<LayerStat> stats_;
   mutable bool stats_dirty_{true};

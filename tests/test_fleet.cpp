@@ -1,7 +1,8 @@
 // Tests for the fleet tier: arrival-process determinism, node admission and
 // service accounting, balancer selection and tie-breaking, the fleet-level
-// conservation invariant, jobs=1 vs jobs=N bit-identity, and the docs-sync
-// pin between docs/FLEET.md and the fleet knob/counter vocabulary.
+// conservation invariant, jobs=1 vs jobs=N bit-identity, the grid-fidelity
+// goldens, and the docs-sync pin between docs/FLEET.md and the fleet
+// knob/counter vocabulary.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -290,10 +291,12 @@ TEST(FleetTest, JobsOneAndEightAreBitIdentical) {
   EXPECT_EQ(one.max_node_peak_c, eight.max_node_peak_c);
 }
 
-FleetConfig grid_fleet() {
+/// Grid-fidelity fleet: 2 dies runs the explicit kernel, 16 or more the ADI
+/// kernel (GridThermalConfig::adi()).
+FleetConfig grid_fleet(std::size_t dram_dies = 2) {
   FleetConfig cfg = small_fleet();
   cfg.thermal = ThermalFidelity::kGrid;
-  cfg.grid.dram_dies = 2;
+  cfg.grid.dram_dies = dram_dies;
   // Smallest grid that still resolves the HBM floorplan's 8x4 vaults.
   cfg.grid.grid_nx = 8;
   cfg.grid.grid_ny = 4;
@@ -312,19 +315,35 @@ TEST(FleetTest, GridFidelityServesAndHeatsAboveAmbient) {
   for (const NodeSummary& n : r.nodes) EXPECT_GE(n.final_c, cfg.node.ambient_c - 1e-9);
 }
 
+std::string read_golden(const std::string& name) {
+  std::ifstream in{std::string{COOLPIM_GOLDEN_DIR} + "/" + name};
+  EXPECT_TRUE(in.is_open()) << "tests/golden/" << name << " missing";
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(FleetTest, GridFidelityMatchesGoldens) {
+  // Full-precision node summaries for both kernels, byte for byte: any
+  // change to what grid fidelity computes shows up here.
+  for (const std::size_t dies : {std::size_t{2}, std::size_t{16}}) {
+    const std::string name = "fleet_grid_" + std::to_string(dies) + "die.csv";
+    EXPECT_EQ(run_fleet(grid_fleet(dies)).node_summary_csv(), read_golden(name)) << name;
+  }
+}
+
 TEST(FleetTest, GridFidelityBitIdenticalAcrossJobsAndKernels) {
-  for (const bool use_adi : {false, true}) {
-    FleetConfig cfg = grid_fleet();
+  for (const std::size_t dies : {std::size_t{2}, std::size_t{16}}) {
+    FleetConfig cfg = grid_fleet(dies);
     cfg.nodes = 5;
-    cfg.grid.use_adi = use_adi;
     cfg.rack_ambient_spread_c = 4.0;
     cfg.jobs = 1;
     const FleetResult one = run_fleet(cfg);
     cfg.jobs = 8;
     const FleetResult eight = run_fleet(cfg);
-    EXPECT_EQ(one.node_summary_csv(), eight.node_summary_csv()) << "use_adi=" << use_adi;
-    EXPECT_EQ(one.arrived, eight.arrived) << "use_adi=" << use_adi;
-    EXPECT_EQ(one.max_node_peak_c, eight.max_node_peak_c) << "use_adi=" << use_adi;
+    EXPECT_EQ(one.node_summary_csv(), eight.node_summary_csv()) << dies << " dies";
+    EXPECT_EQ(one.arrived, eight.arrived) << dies << " dies";
+    EXPECT_EQ(one.max_node_peak_c, eight.max_node_peak_c) << dies << " dies";
   }
 }
 
@@ -346,7 +365,7 @@ TEST(FleetTest, GridFidelityKeyGatedOnMode) {
   // only on the fields that existed before grid fidelity did.
   FleetConfig rc_tweaked = base;
   rc_tweaked.grid.watts_per_c *= 2.0;
-  rc_tweaked.grid.use_adi = true;
+  rc_tweaked.grid.dram_dies = 16;
   EXPECT_EQ(fleet_key(base), fleet_key(rc_tweaked));
   // Turning the mode on -- and then any grid field -- changes the key.
   FleetConfig grid_on = base;
@@ -382,15 +401,14 @@ TEST(FleetTest, GridFidelityValidation) {
   }
 }
 
-TEST(FleetTest, GridFidelityObserverCountsBatchLanes) {
+TEST(FleetTest, GridFidelityObserverCountsOneStepPerNodeEpoch) {
   FleetConfig cfg = grid_fleet();
   obs::RunObserver observer;
   cfg.observer = &observer;
   const FleetResult r = run_fleet(cfg);
   EXPECT_GT(r.served, 0u);
-  const auto& c = observer.counters;
-  EXPECT_GT(c.counter_value(obs::names::kThermalBatchLanes), 0u);
-  EXPECT_GT(c.counter_value(obs::names::kThermalBatchSweeps), 0u);
+  const auto epochs = static_cast<std::uint64_t>(cfg.duration_ms / cfg.epoch_ms);
+  EXPECT_EQ(observer.counters.counter_value(obs::names::kThermalSteps), cfg.nodes * epochs);
 }
 
 TEST(FleetTest, ObserverDoesNotPerturbResults) {

@@ -110,6 +110,14 @@ TEST(RunConfigTest, MalformedValuesThrow) {
     EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
   }
   {
+    Args args{{"--jobs", "-1"}};  // strtoull alone would wrap it to 2^64 - 1
+    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
+  }
+  {
+    Args args{{"--arrival-rate", "inf"}};
+    EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
+  }
+  {
     Args args{{"--jobs"}};  // missing value
     EXPECT_THROW((void)RunConfig::from_args(&args.argc, args.argv.data()), ConfigError);
   }

@@ -1,18 +1,29 @@
-// Thermal fast-path contract tests (docs/PERFORMANCE.md):
+// Thermal fast-path contract tests (docs/PERFORMANCE.md, DESIGN.md
+// sections 9 and 13):
 //  * the branch-free flat-stencil sweep (StackModel::step) is bit-identical
 //    to the retained guarded reference sweep on randomized stacks,
 //  * the transient kernel is stable at stable_step() under extreme cooling,
 //  * the hot path performs no heap allocations after construction -- checked
 //    with this binary's counting global operator new (tests are separate
-//    executables, so the override is visible to every allocation here).
+//    executables, so the override is visible to every allocation here) --
+//    including step_adi() and its refactorization,
+//  * both integrators fail loudly past kMaxTransientSubsteps,
+//  * step_adi() matches a tight-dt explicit run within the documented
+//    tolerance and settles onto the steady state (energy balance, SOR),
+//  * the documented contracts stay pinned to the prose.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <new>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "hmc/config.hpp"
@@ -205,6 +216,219 @@ TEST(ThermalKernel, SuperposedResolveIsAllocationFree) {
   const double at_240 = model.peak_dram().value();
   EXPECT_EQ(allocations(), before) << "superposed re-solve allocated";
   EXPECT_GT(at_240, at_80);
+}
+
+// ---- ADI kernel (StackModel::step_adi) ------------------------------------
+
+/// hbm_stack_spec with every heat capacity scaled by `scale` (the
+/// interval-simulation compression the fleet and HmcThermalConfig apply).
+StackSpec scaled_hbm_spec(std::size_t dies, std::size_t nx, std::size_t ny, double scale) {
+  StackSpec spec = hbm_stack_spec(dies, nx, ny);
+  for (auto& l : spec.layers) l.volumetric_heat_capacity *= scale;
+  spec.sink_heat_capacity *= scale;
+  return spec;
+}
+
+TEST(ThermalKernel, AdiStepAllocationFreeIncludingRefactor) {
+  StackModel model{hbm_stack_spec(16, 10, 8)};
+  model.set_layer_power(0, uniform_power(model.spec().floorplan, 8.0));
+  (void)model.layer_peak(0);  // touch the lazy stats cache
+
+  const std::uint64_t before = allocations();
+  for (int s = 0; s < 5; ++s) model.step_adi(Time::ms(1.0));  // first call builds the plan
+  model.step_adi(Time::ms(2.5));  // different substep length: in-place refactor
+  (void)model.layer_peak(0);
+  EXPECT_EQ(allocations(), before) << "step_adi (incl. refactor) allocated";
+}
+
+TEST(ThermalKernel, IntegratorsFailLoudlyPastTheSubstepCeiling) {
+  // Any dt needing more than kMaxTransientSubsteps explicit substeps must
+  // throw, not silently loop for minutes.  5e6 x stable_step > 2^22.
+  StackModel tall{hbm_stack_spec(16, 12, 10)};
+  const Time huge = Time::sec(tall.stable_step().as_sec() * 5.0e6);
+  EXPECT_THROW((void)tall.substeps_for(huge), ConfigError);
+  EXPECT_THROW(tall.step(huge), ConfigError);
+  EXPECT_THROW(tall.step_reference(huge), ConfigError);
+  // step_adi has the same ceiling at kAdiDtFactor x the substep length.
+  const Time beyond_adi = Time::sec(tall.stable_step().as_sec() * kAdiDtFactor * 5.0e6);
+  EXPECT_THROW(tall.step_adi(beyond_adi), ConfigError);
+  // Non-positive steps are rejected by every integrator.
+  EXPECT_THROW((void)tall.substeps_for(Time::zero()), ConfigError);
+  EXPECT_THROW(tall.step(Time::zero()), ConfigError);
+  EXPECT_THROW(tall.step_adi(Time::zero()), ConfigError);
+
+  // A step the explicit kernel refuses stays tractable under ADI (a coarse
+  // grid keeps its ~2^17 substeps quick).
+  StackSpec coarse = hbm_stack_spec(16, 8, 4);
+  coarse.floorplan.vaults_x = 1;
+  coarse.floorplan.vaults_y = 1;
+  coarse.floorplan.grid = GridDims{2, 2};
+  StackModel model{coarse};
+  model.set_layer_power(0, uniform_power(coarse.floorplan, 5.0));
+  const Time refused =
+      Time::sec(model.stable_step().as_sec() * static_cast<double>(kMaxTransientSubsteps + 1));
+  EXPECT_THROW((void)model.substeps_for(refused), ConfigError);
+  EXPECT_NO_THROW(model.step_adi(refused));
+  EXPECT_TRUE(std::isfinite(model.peak_over_layers(0, model.layer_count() - 1).value()));
+}
+
+TEST(ThermalKernel, AdiMatchesTightDtExplicitOnTallStack) {
+  // 16-high HBM-class stack.  One step_adi substep spans kAdiDtFactor (>=
+  // 10) explicit stable steps; the tight-dt reference advances the same dt
+  // through the explicit step() (bit-identical to step_reference).
+  const StackSpec spec = scaled_hbm_spec(16, 12, 10, 0.05);
+  StackModel adi{spec};
+  StackModel explicit_ref{spec};
+  const Time dt = Time::sec(adi.stable_step().as_sec() * kAdiDtFactor);
+  ASSERT_GE(kAdiDtFactor, 10.0);
+
+  // Hot logic die + warm top DRAM: uniform per-layer power, the pattern the
+  // tolerance contract covers.
+  for (StackModel* m : {&adi, &explicit_ref}) {
+    m->set_layer_power(0, uniform_power(spec.floorplan, 10.0));
+    m->set_layer_power(16, uniform_power(spec.floorplan, 2.0));
+  }
+
+  double max_err = 0.0;
+  double max_rise = 0.0;
+  for (int s = 0; s < 120; ++s) {
+    adi.step_adi(dt);
+    explicit_ref.step(dt);
+    for (std::size_t l = 0; l < adi.layer_count(); ++l) {
+      const double want = explicit_ref.layer_peak(l).value();
+      max_rise = std::max(max_rise, want - spec.ambient.value());
+      max_err = std::max(max_err, std::abs(adi.layer_peak(l).value() - want));
+    }
+  }
+  ASSERT_GT(max_rise, 5.0);  // the transient actually heated the stack
+  RecordProperty("max_adi_error_k", std::to_string(max_err));
+  // Documented tolerance (DESIGN.md section 13): ADI peak temperatures stay
+  // within 2% of the explicit temperature rise at dt = 32x stable.
+  EXPECT_LE(max_err, 0.02 * max_rise)
+      << "max ADI error " << max_err << " K over rise " << max_rise << " K";
+}
+
+/// Steps `model` with step_adi(dt) until no node and not the sink moves by
+/// 1e-12 K in one call; returns the calls taken, or 0 if it never settled.
+int settle_adi(StackModel& model, Time dt) {
+  const auto field = model.temperatures_k();
+  std::vector<double> prev(field.begin(), field.end());
+  double prev_sink = model.sink_temp().as_kelvin();
+  for (int call = 1; call <= 100000; ++call) {
+    model.step_adi(dt);
+    const auto now = model.temperatures_k();
+    double moved = std::abs(model.sink_temp().as_kelvin() - prev_sink);
+    prev_sink = model.sink_temp().as_kelvin();
+    for (std::size_t i = 0; i < now.size(); ++i) {
+      moved = std::max(moved, std::abs(now[i] - prev[i]));
+      prev[i] = now[i];
+    }
+    if (moved < 1e-12) return call;
+  }
+  return 0;
+}
+
+/// Heat leaving the stack through the sink and the board, watts.
+double heat_out(const StackModel& model) {
+  const StackNetwork& net = model.network();
+  const double ambient_k = model.spec().ambient.as_kelvin();
+  const auto t = model.temperatures_k();
+  double out = net.g_sink_ambient * (model.sink_temp().as_kelvin() - ambient_k);
+  for (std::size_t i = 0; i < t.size(); ++i) out += net.g_board[i] * (t[i] - ambient_k);
+  return out;
+}
+
+/// `v` in scientific notation, for RecordProperty.
+std::string sci(double v) {
+  std::ostringstream os;
+  os.precision(3);
+  os << std::scientific << v;
+  return os.str();
+}
+
+/// Largest node difference between two models' fields, Kelvin.
+double max_node_diff(const StackModel& a, const StackModel& b) {
+  const auto ta = a.temperatures_k();
+  const auto tb = b.temperatures_k();
+  double diff = 0.0;
+  for (std::size_t i = 0; i < ta.size(); ++i) diff = std::max(diff, std::abs(ta[i] - tb[i]));
+  return diff;
+}
+
+TEST(ThermalKernel, AdiSettlesOntoTheSteadyState) {
+  // The 16-high HBM stack and the fleet's 16-high grid geometry.
+  const StackSpec specs[] = {hbm_stack_spec(16, 12, 10), scaled_hbm_spec(16, 8, 8, 0.045)};
+  for (const StackSpec& spec : specs) {
+    const std::string where = std::to_string(spec.floorplan.grid.nx) + "x" +
+                              std::to_string(spec.floorplan.grid.ny);
+    const std::size_t top = spec.layers.size() - 1;
+    const auto apply = [&](StackModel& m, const PowerMap& logic) {
+      m.set_layer_power(0, logic);
+      for (std::size_t l = 1; l <= top; ++l) {
+        m.set_layer_power(l, uniform_power(spec.floorplan, 0.25));
+      }
+    };
+    const double power_in = 10.0 + 0.25 * static_cast<double>(top);
+
+    // Uniform per-layer power (what the fleet injects): the settled field
+    // is the steady state.
+    StackModel adi{spec};
+    StackModel sor{spec};
+    apply(adi, uniform_power(spec.floorplan, 10.0));
+    apply(sor, uniform_power(spec.floorplan, 10.0));
+    const Time dt = Time::sec(adi.stable_step().as_sec() * kAdiDtFactor * 16.0);
+    ASSERT_GT(settle_adi(adi, dt), 0) << where << ": step_adi never settled";
+    sor.solve_steady(1e-12);
+    EXPECT_NEAR(heat_out(adi), power_in, 1e-9 * power_in) << where << ": energy balance";
+    EXPECT_NEAR(adi.sink_temp().value(), sor.sink_temp().value(), 1e-6) << where;
+    EXPECT_LE(max_node_diff(adi, sor), 1e-6) << where;
+    RecordProperty("uniform_max_node_diff_k_" + where, sci(max_node_diff(adi, sor)));
+
+    // Vault-centred logic power: energy still balances and the sink still
+    // lands on SOR (the lateral passes conserve each layer's heat), but Lie
+    // splitting at the fixed substep leaves a lateral error in the settled
+    // field.  The tolerance contract does not cover this pattern; the gap is
+    // recorded, not bounded.
+    StackModel adi_vault{spec};
+    StackModel sor_vault{spec};
+    apply(adi_vault, vault_centered_power(spec.floorplan, 10.0, 1));
+    apply(sor_vault, vault_centered_power(spec.floorplan, 10.0, 1));
+    ASSERT_GT(settle_adi(adi_vault, dt), 0) << where << ": step_adi never settled";
+    sor_vault.solve_steady(1e-12);
+    EXPECT_NEAR(heat_out(adi_vault), power_in, 1e-9 * power_in) << where << ": energy balance";
+    EXPECT_NEAR(adi_vault.sink_temp().value(), sor_vault.sink_temp().value(), 1e-6) << where;
+    RecordProperty("vault_centred_max_node_diff_k_" + where,
+                   sci(max_node_diff(adi_vault, sor_vault)));
+    RecordProperty("vault_centred_peak_rise_k_" + where,
+                   sci(sor_vault.peak_over_layers(0, top).value() - spec.ambient.value()));
+  }
+}
+
+// ---- Docs sync --------------------------------------------------------------
+
+std::string read_doc(const std::string& path) {
+  std::ifstream doc{path};
+  EXPECT_TRUE(doc.is_open()) << path << " missing";
+  std::ostringstream ss;
+  ss << doc.rdbuf();
+  return ss.str();
+}
+
+TEST(ThermalKernelDocsSync, PerformanceAndDesignDocumentTheContracts) {
+  const std::string perf = read_doc(std::string{COOLPIM_DOCS_DIR} + "/PERFORMANCE.md");
+  for (const char* needle :
+       {"bit-identical", "target_clones", "step_reference", "step_adi", "Thomas",
+        "kAdiDtFactor", "## 7. ADI for tall stacks",
+        "## 8. Why there is no lane-batched sweep executor"}) {
+    EXPECT_NE(perf.find(needle), std::string::npos)
+        << needle << " not documented in docs/PERFORMANCE.md";
+  }
+  const std::string design = read_doc(std::string{COOLPIM_REPO_DIR} + "/DESIGN.md");
+  for (const char* needle :
+       {"## 13", "step_adi", "step_reference", "kMaxTransientSubsteps",
+        "2% of the explicit temperature rise", "uniform per-layer power"}) {
+    EXPECT_NE(design.find(needle), std::string::npos) << needle << " not documented in DESIGN.md";
+  }
 }
 
 }  // namespace

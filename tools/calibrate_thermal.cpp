@@ -9,7 +9,6 @@
 #include "hmc/link_model.hpp"
 #include "power/cooling.hpp"
 #include "power/energy_model.hpp"
-#include "thermal/batch_stack_model.hpp"
 #include "thermal/hmc_thermal.hpp"
 
 using namespace coolpim;
@@ -102,60 +101,41 @@ int main() {
                 m.surface().value(), m.peak_dram().value(), c.paper);
   }
 
-  // Batched transient-settle cross-check: all anchor operating points march
-  // as lanes of one BatchStackModel until equilibrium; the settled peak DRAM
-  // must land on the scalar steady-state solve at every point (the batched
-  // solver and the Gauss-Seidel solver agree on the same network).
-  std::printf("\n== Batched transient settle vs steady (BatchStackModel) ==\n");
+  // Transient-settle cross-check: each anchor operating point marches from
+  // ambient through the explicit transient kernel until equilibrium; the
+  // settled peak DRAM must land on the steady-state solve at every point
+  // (the transient and steady solvers agree on the same network).
+  std::printf("\n== Transient settle vs steady (StackModel::step) ==\n");
   {
     const thermal::HmcThermalConfig tc =
         thermal::hmc20_thermal_config(power::CoolingType::kCommodityServer);
-    thermal::HmcThermalModel probe{tc};
-    struct BatchCase { const char* label; power::OperatingPoint op; };
-    const BatchCase lanes[] = {
+    struct SettleCase { const char* label; power::OperatingPoint op; };
+    const SettleCase settle_cases[] = {
         {"idle", op_for_bandwidth(link, 0.0)},
         {"320 GB/s", op_for_bandwidth(link, 320.0)},
         {"PIM 1.3 op/ns", op_for_pim(link, 1.3)},
         {"PIM 6.5 op/ns", op_for_pim(link, 6.5)},
     };
-    const std::size_t n_lanes = std::size(lanes);
-    thermal::BatchStackModel batch{probe.stack().spec(), n_lanes};
-    for (std::size_t v = 0; v < n_lanes; ++v) {
-      const power::PowerBreakdown pwr = power::compute_power(ep, lanes[v].op);
-      thermal::PowerMap logic =
-          thermal::uniform_power(tc.floorplan, pwr.logic_background.value());
-      logic.add(thermal::vault_centered_power(tc.floorplan, pwr.logic_dynamic.value(),
-                                              tc.vault_spread_cells));
-      logic.add(thermal::vault_centered_power(tc.floorplan, pwr.fu.value(), 1));
-      batch.set_layer_power(v, 0, logic);
-      const double per_die =
-          (pwr.dram_dynamic.value() + pwr.dram_background.value()) /
-          static_cast<double>(tc.dram_dies);
-      const thermal::PowerMap dram = thermal::uniform_power(tc.floorplan, per_die);
-      for (std::size_t l = 1; l <= tc.dram_dies; ++l) batch.set_layer_power(v, l, dram);
-    }
-    batch.reset_to_ambient();
-    const std::size_t top = batch.layer_count() - 1;
-    // March all lanes together (tau ~1 ms) until the hottest lane stops moving.
-    double prev_peak = -1e300;
-    for (int i = 0; i < 200; ++i) {
-      batch.step(Time::ms(1.0));
-      double peak = -1e300;
-      for (std::size_t v = 0; v < n_lanes; ++v) {
-        peak = std::max(peak, batch.peak_over_layers(v, 1, top).value());
+    for (const auto& c : settle_cases) {
+      const power::PowerBreakdown pwr = power::compute_power(ep, c.op);
+      thermal::HmcThermalModel settling{tc};
+      settling.apply_power(pwr);
+      // March (tau ~1 ms) until the peak stops moving.
+      double prev_peak = -1e300;
+      for (int i = 0; i < 200; ++i) {
+        settling.step(Time::ms(1.0));
+        const double peak = settling.peak_dram().value();
+        if (std::abs(peak - prev_peak) < 1e-4) break;
+        prev_peak = peak;
       }
-      if (std::abs(peak - prev_peak) < 1e-4) break;
-      prev_peak = peak;
-    }
-    for (std::size_t v = 0; v < n_lanes; ++v) {
-      thermal::HmcThermalModel scalar{tc};
-      scalar.apply_power(power::compute_power(ep, lanes[v].op));
-      scalar.solve_steady();
-      const double settled = batch.peak_over_layers(v, 1, top).value();
-      const double steady = scalar.peak_dram().value();
-      std::printf("%-16s settled %.2f C  steady %.2f C  |diff| %.3f C%s\n", lanes[v].label,
-                  settled, steady, std::abs(settled - steady),
-                  std::abs(settled - steady) < 0.1 ? "" : "   <-- DISAGREE");
+      thermal::HmcThermalModel steady{tc};
+      steady.apply_power(pwr);
+      steady.solve_steady();
+      const double settled = settling.peak_dram().value();
+      const double want = steady.peak_dram().value();
+      std::printf("%-16s settled %.2f C  steady %.2f C  |diff| %.3f C%s\n", c.label, settled,
+                  want, std::abs(settled - want),
+                  std::abs(settled - want) < 0.1 ? "" : "   <-- DISAGREE");
     }
   }
   // Fleet grid-mode derate constant: GridThermalConfig::watts_per_c converts

@@ -32,7 +32,7 @@ NUM = (int, float)
 # schema tag -> {key path: expected type(s)}.  A trailing "[]" walks every
 # element of an array.
 SCHEMAS = {
-    "coolpim-bench-thermal/3": {
+    "coolpim-bench-thermal/4": {
         "quick": bool,
         "transient.nodes": NUM,
         "transient.substeps_per_step": NUM,
@@ -50,16 +50,6 @@ SCHEMAS = {
         "steady.unit_response_iterations": NUM,
         "steady.unit_response_ms": NUM,
         "steady.max_abs_diff_k": NUM,
-        "batch.nodes": NUM,
-        "batch.substeps_per_step": NUM,
-        "batch.b1_ns_per_lane_cell_substep": NUM,
-        "batch.b1_cells_substeps_per_sec": NUM,
-        "batch.b8_ns_per_lane_cell_substep": NUM,
-        "batch.b8_cells_substeps_per_sec": NUM,
-        "batch.b64_ns_per_lane_cell_substep": NUM,
-        "batch.b64_cells_substeps_per_sec": NUM,
-        "batch.speedup_b64_vs_b1": NUM,
-        "batch.bit_identical": bool,
         "tall_stack.layers": NUM,
         "tall_stack.nodes": NUM,
         "tall_stack.explicit_stable_dt_us": NUM,
@@ -214,13 +204,9 @@ SCHEMAS = {
 # they swing with machine load and scale flags; rates and speedup ratios are
 # the stable signal.
 THROUGHPUT_KEYS = {
-    "coolpim-bench-thermal/3": [
+    "coolpim-bench-thermal/4": [
         "transient.speedup",
         "steady.speedup",
-        "batch.b1_cells_substeps_per_sec",
-        "batch.b8_cells_substeps_per_sec",
-        "batch.b64_cells_substeps_per_sec",
-        "batch.speedup_b64_vs_b1",
         "tall_stack.speedup",
     ],
     "coolpim-bench-graph/1": [
