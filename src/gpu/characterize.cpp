@@ -9,15 +9,10 @@ CacheHitModel::CacheHitModel(const GpuConfig& cfg, std::uint64_t property_bytes,
   COOLPIM_REQUIRE(property_bytes > 0, "property footprint must be positive");
   Cache l2{cfg.l2_bytes, cfg.l2_ways, cfg.line_bytes};
   Rng rng{seed};
-  // Warm the cache with one capacity's worth of accesses before measuring.
-  const std::uint64_t warm = cfg.l2_bytes / cfg.line_bytes * 4;
-  for (std::uint64_t i = 0; i < warm; ++i) {
-    l2.access(rng.next_below(property_bytes));
-  }
+  // Warm the cache with four capacities' worth of accesses before measuring.
+  l2.replay_uniform(rng, property_bytes, cfg.l2_bytes / cfg.line_bytes * 4);
   l2.reset_stats();
-  for (std::uint64_t i = 0; i < sample_accesses; ++i) {
-    l2.access(rng.next_below(property_bytes));
-  }
+  l2.replay_uniform(rng, property_bytes, sample_accesses);
   random_hit_rate_ = l2.hit_rate();
 }
 

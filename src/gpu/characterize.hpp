@@ -5,8 +5,12 @@
 // reuse), random 4-8 byte property accesses (one transaction each unless the
 // L2 retains the line), and atomic RMWs (allocated in an uncacheable region
 // per the GraphPIM policy the paper adopts, so they always go to memory).
-// The random-access hit rate is *measured* by replaying a representative
-// stream through the L2 cache model rather than assumed.
+// The random-access hit rate is *measured* rather than assumed: the L2
+// cache model (exact LRU, cache.hpp) replays a uniform-random stream over
+// the property footprint, warmed with four capacities' worth of accesses.
+// The closed-form expectation of that stream -- each set's share of the
+// footprint times min(1, ways / lines in the set) -- is a test property of
+// the replay (tests/test_characterize.cpp), not a substitute for it.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +26,8 @@ class CacheHitModel {
  public:
   /// `property_bytes`: total footprint of the randomly-accessed property
   /// arrays.  The hit rate is measured by replaying `sample_accesses`
-  /// uniform-random accesses through the configured L2.
+  /// uniform-random accesses, drawn from Rng{seed}, through the configured
+  /// L2 (Cache::replay_uniform).
   CacheHitModel(const GpuConfig& cfg, std::uint64_t property_bytes,
                 std::uint64_t sample_accesses = 1 << 20, std::uint64_t seed = 7);
 

@@ -65,10 +65,16 @@ struct GpuConfig {
   }
   [[nodiscard]] std::size_t max_resident_warps() const { return num_sms * max_warps_per_sm; }
 
+  /// Positivity comes before every division, so a zero fails as a
+  /// ConfigError rather than a SIGFPE.
   void validate() const {
     COOLPIM_REQUIRE(num_sms > 0, "need at least one SM");
+    COOLPIM_REQUIRE(threads_per_warp > 0, "need at least one thread per warp");
     COOLPIM_REQUIRE(threads_per_block % threads_per_warp == 0,
                     "block size must be a whole number of warps");
+    COOLPIM_REQUIRE(line_bytes > 0 && (line_bytes & (line_bytes - 1)) == 0,
+                    "cache line size must be a power of two");
+    COOLPIM_REQUIRE(l1_ways > 0 && l2_ways > 0, "caches need at least one way");
     COOLPIM_REQUIRE(l1_bytes % (l1_ways * line_bytes) == 0, "L1 geometry invalid");
     COOLPIM_REQUIRE(l2_bytes % (l2_ways * line_bytes) == 0, "L2 geometry invalid");
   }

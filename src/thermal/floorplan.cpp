@@ -43,18 +43,18 @@ PowerMap uniform_power(const Floorplan& fp, double total_watts) {
   return map;
 }
 
-PowerMap vault_centered_power(const Floorplan& fp, double total_watts, int spread_cells) {
+std::vector<std::vector<std::size_t>> vault_blocks(const Floorplan& fp, int spread_cells) {
   COOLPIM_REQUIRE(spread_cells >= 1, "spread_cells must be >= 1");
-  PowerMap map{fp.grid};
-  const double per_vault = total_watts / static_cast<double>(fp.vault_count());
+  std::vector<std::vector<std::size_t>> blocks;
+  blocks.reserve(fp.vault_count());
   const int radius = spread_cells - 1;
   for (std::size_t vy = 0; vy < fp.vaults_y; ++vy) {
     for (std::size_t vx = 0; vx < fp.vaults_x; ++vx) {
       const std::size_t center = fp.vault_center_cell(vx, vy);
       const auto cx = static_cast<int>(center % fp.grid.nx);
       const auto cy = static_cast<int>(center / fp.grid.nx);
-      // Collect the (2r+1)^2 block clipped to the die, then share equally.
-      std::vector<std::size_t> cells;
+      // The (2r+1)^2 block clipped to the die.
+      std::vector<std::size_t>& cells = blocks.emplace_back();
       for (int dy = -radius; dy <= radius; ++dy) {
         for (int dx = -radius; dx <= radius; ++dx) {
           const int x = cx + dx, y = cy + dy;
@@ -65,8 +65,17 @@ PowerMap vault_centered_power(const Floorplan& fp, double total_watts, int sprea
           cells.push_back(fp.grid.index(static_cast<std::size_t>(x), static_cast<std::size_t>(y)));
         }
       }
-      for (const auto c : cells) map.add(c, per_vault / static_cast<double>(cells.size()));
     }
+  }
+  return blocks;
+}
+
+PowerMap vault_centered_power(const Floorplan& fp, double total_watts, int spread_cells) {
+  const auto blocks = vault_blocks(fp, spread_cells);
+  PowerMap map{fp.grid};
+  const double per_vault = total_watts / static_cast<double>(fp.vault_count());
+  for (const auto& cells : blocks) {
+    for (const auto c : cells) map.add(c, per_vault / static_cast<double>(cells.size()));
   }
   return map;
 }

@@ -78,6 +78,12 @@ class PowerMap {
 /// Spread `total_watts` uniformly over the die.
 [[nodiscard]] PowerMap uniform_power(const Floorplan& fp, double total_watts);
 
+/// The cells that share each vault's power at `spread_cells` (1 = the vault
+/// center alone, 2 = its 3x3 block, ...), clipped to the die: one list per
+/// vault, vaults row-major.  vault_centered_power() spreads over these.
+[[nodiscard]] std::vector<std::vector<std::size_t>> vault_blocks(const Floorplan& fp,
+                                                                 int spread_cells);
+
 /// Concentrate `total_watts` equally at every vault center; `spread_cells`
 /// controls how many neighbouring cells share each vault's power (1 = single
 /// cell, 2 = 3x3 block, ...).  Vault controllers + PIM FUs produce exactly

@@ -96,31 +96,58 @@ std::array<PatternPower, kPowerSources> power_layout(const HmcThermalConfig& cfg
            {{PatternKind::kSink}, cfg.co_heater_watts}}};
 }
 
+/// row += uniform_power(fp, watts) as a row of cells.  PowerMap adds
+/// 0.0 + w per cell first; that is w here, since the rows start at +0.0 and
+/// so never hold -0.0.
+void add_uniform(std::span<double> row, double watts) {
+  const double per_cell = watts / static_cast<double>(row.size());
+  for (double& w : row) w += per_cell;
+}
+
+/// row += vault_centered_power(fp, watts, spread) over `blocks`: built in
+/// the zeroed `pattern` row and then added, as PowerMap does, so the sums
+/// keep their association where blocks overlap.
+void add_vault_centred(std::span<double> row, std::span<double> pattern,
+                       const std::vector<std::vector<std::size_t>>& blocks, double watts) {
+  std::fill(pattern.begin(), pattern.end(), 0.0);
+  const double per_vault = watts / static_cast<double>(blocks.size());
+  for (const auto& cells : blocks) {
+    for (const std::size_t c : cells) pattern[c] += per_vault / static_cast<double>(cells.size());
+  }
+  for (std::size_t i = 0; i < row.size(); ++i) row[i] += pattern[i];
+}
+
 /// Set the stack's layer power from a layout: logic patterns on layer 0, the
 /// DRAM pattern split evenly over layers 1..N.  The sink pattern is no layer
-/// power; the stack takes it from StackSpec::co_heater_watts.
-void set_layout_power(StackModel& stack, std::span<const PatternPower> layout) {
-  const Floorplan& fp = stack.spec().floorplan;
+/// power; the stack takes it from StackSpec::co_heater_watts.  The watts are
+/// bit-identical to summing one PowerMap per pattern, in layout order, and
+/// nothing is allocated.
+void set_layout_power(StackModel& stack, std::span<const PatternPower> layout,
+                      detail::LayoutRows& rows) {
   const std::size_t dram_dies = stack.layer_count() - 1;
-  PowerMap logic{fp.grid};
-  PowerMap dram{fp.grid};
+  std::fill(rows.logic_w.begin(), rows.logic_w.end(), 0.0);
+  std::fill(rows.dram_w.begin(), rows.dram_w.end(), 0.0);
   for (const auto& [pattern, watts] : layout) {
     switch (pattern.kind) {
       case PatternKind::kLogicUniform:
-        logic.add(uniform_power(fp, watts));
+        add_uniform(rows.logic_w, watts);
         break;
       case PatternKind::kVaultCentred:
-        logic.add(vault_centered_power(fp, watts, pattern.spread_cells));
+        COOLPIM_ASSERT(pattern.spread_cells == rows.spread_cells || pattern.spread_cells == 1);
+        add_vault_centred(rows.logic_w, rows.pattern_w,
+                          pattern.spread_cells == rows.spread_cells ? rows.spread_blocks
+                                                                    : rows.centre_blocks,
+                          watts);
         break;
       case PatternKind::kDramUniform:
-        dram.add(uniform_power(fp, watts / static_cast<double>(dram_dies)));
+        add_uniform(rows.dram_w, watts / static_cast<double>(dram_dies));
         break;
       case PatternKind::kSink:
         break;
     }
   }
-  stack.set_layer_power(0, logic);
-  for (std::size_t l = 1; l <= dram_dies; ++l) stack.set_layer_power(l, dram);
+  stack.set_layer_power(0, rows.logic_w);
+  for (std::size_t l = 1; l <= dram_dies; ++l) stack.set_layer_power(l, rows.dram_w);
 }
 
 /// The distinct patterns superposition needs for `cfg`, in layout order: at
@@ -140,9 +167,11 @@ std::vector<Pattern> response_patterns(const HmcThermalConfig& cfg) {
 UnitResponse solve_unit_response(StackSpec spec, Pattern pattern) {
   spec.ambient = Celsius::from_kelvin(0.0);
   spec.co_heater_watts = pattern.kind == PatternKind::kSink ? 1.0 : 0.0;
+  // Only vault-centred patterns carry a spread; the others hold 0.
+  detail::LayoutRows rows{spec.floorplan, std::max(pattern.spread_cells, 1)};
   StackModel stack{std::move(spec)};
   const PatternPower unit{pattern, 1.0};
-  set_layout_power(stack, std::span<const PatternPower>{&unit, 1});
+  set_layout_power(stack, std::span<const PatternPower>{&unit, 1}, rows);
   UnitResponse r;
   r.sor_iterations = stack.solve_steady(1e-9, 200000, SteadyStart::kCold);
   const auto rise = stack.temperatures_k();
@@ -221,14 +250,28 @@ std::vector<UnitResponse> solve_unit_responses(const HmcThermalConfig& cfg) {
   return out;
 }
 
+namespace detail {
+
+LayoutRows::LayoutRows(const Floorplan& fp, int vault_spread_cells)
+    : logic_w(fp.grid.cells()),
+      dram_w(fp.grid.cells()),
+      pattern_w(fp.grid.cells()),
+      spread_cells{vault_spread_cells},
+      spread_blocks{vault_blocks(fp, vault_spread_cells)},
+      centre_blocks{vault_blocks(fp, 1)} {}
+
+}  // namespace detail
+
 HmcThermalModel::HmcThermalModel(HmcThermalConfig cfg)
-    : cfg_{std::move(cfg)}, stack_{build_stack_spec(cfg_)} {
+    : cfg_{std::move(cfg)},
+      stack_{build_stack_spec(cfg_)},
+      rows_{cfg_.floorplan, cfg_.vault_spread_cells} {
   COOLPIM_REQUIRE(cfg_.dram_dies >= 1, "HMC needs at least one DRAM die");
 }
 
 void HmcThermalModel::apply_power(const power::PowerBreakdown& power) {
   power_ = power;
-  set_layout_power(stack_, power_layout(cfg_, power));
+  set_layout_power(stack_, power_layout(cfg_, power), rows_);
 }
 
 void HmcThermalModel::solve_steady() {

@@ -80,11 +80,31 @@ struct UnitResponse {
 /// one-time build.
 [[nodiscard]] std::vector<UnitResponse> solve_unit_responses(const HmcThermalConfig& cfg);
 
+namespace detail {
+
+/// apply_power()'s working set, built once so painting a power layout onto
+/// the stack allocates nothing: the logic and DRAM layer rows, one row for
+/// the pattern being built, and each vault's cells at the two spreads a
+/// layout uses (vault_spread_cells for logic dynamic power, 1 for the FUs).
+struct LayoutRows {
+  LayoutRows(const Floorplan& fp, int vault_spread_cells);
+
+  std::vector<double> logic_w;
+  std::vector<double> dram_w;
+  std::vector<double> pattern_w;
+  int spread_cells;
+  std::vector<std::vector<std::size_t>> spread_blocks;  // at spread_cells
+  std::vector<std::vector<std::size_t>> centre_blocks;  // at spread 1
+};
+
+}  // namespace detail
+
 class HmcThermalModel {
  public:
   explicit HmcThermalModel(HmcThermalConfig cfg);
 
-  /// Distribute a power breakdown onto the stack's layers.
+  /// Distribute a power breakdown onto the stack's layers.  Allocates
+  /// nothing: the rows it paints are built at construction.
   void apply_power(const power::PowerBreakdown& power);
 
   /// Steady state of the breakdown last passed to apply_power(), in closed
@@ -143,6 +163,7 @@ class HmcThermalModel {
 
   HmcThermalConfig cfg_;
   StackModel stack_;
+  detail::LayoutRows rows_;
 
   // Superposition state.  power_ is the last applied breakdown (the
   // coefficients).  The responses are looked up on the first solve_steady();

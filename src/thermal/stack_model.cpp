@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/target_clones.hpp"
 
 namespace coolpim::thermal {
 
@@ -202,11 +203,14 @@ StackModel::StackModel(StackSpec spec) : spec_{std::move(spec)} {
 }
 
 void StackModel::set_layer_power(std::size_t layer, const PowerMap& power) {
+  set_layer_power(layer, power.cells());
+}
+
+void StackModel::set_layer_power(std::size_t layer, std::span<const double> watts) {
   COOLPIM_REQUIRE(layer < spec_.layers.size(), "layer index out of range");
-  COOLPIM_ASSERT(power.dims().cells() == n_cells_);
-  for (std::size_t c = 0; c < n_cells_; ++c) {
-    power_w_[node(layer, c)] = power.at(c);
-  }
+  COOLPIM_ASSERT(watts.size() == n_cells_);
+  std::copy(watts.begin(), watts.end(),
+            power_w_.begin() + static_cast<std::ptrdiff_t>(node(layer, 0)));
 }
 
 void StackModel::clear_power() { std::fill(power_w_.begin(), power_w_.end(), 0.0); }
@@ -273,22 +277,9 @@ std::size_t StackModel::substeps_for(Time dt) const { return net_.substeps_for(d
 
 namespace {
 
-// Runtime-dispatched AVX2 clones of the stencil kernels where the toolchain
-// supports ifunc multiversioning (x86-64 ELF).  AVX2 widens the vectors to
-// four lanes; it does not enable FMA, so every lane performs the same IEEE
-// mul/add/div sequence and results stay bit-identical to the default clone.
-// ThreadSanitizer builds get the default clone only: GCC runs the ifunc
-// resolvers instrumented before the TSan runtime is up, and the binary
-// crashes at load.
-#if defined(__x86_64__) && defined(__ELF__) && defined(__has_attribute) && \
-    !defined(__SANITIZE_THREAD__)
-#if __has_attribute(target_clones)
-#define COOLPIM_STENCIL_CLONES __attribute__((target_clones("default", "avx2")))
-#endif
-#endif
-#ifndef COOLPIM_STENCIL_CLONES
-#define COOLPIM_STENCIL_CLONES
-#endif
+// The stencil kernels below run as runtime-dispatched AVX2 clones
+// (common/target_clones.hpp): four double lanes, same IEEE mul/add/div
+// sequence per lane, so results are bit-identical to the default clone.
 
 /// One explicit-Euler substep over one layer below the top one: a pure
 /// elementwise map with no reduction, written as a free function with

@@ -153,6 +153,8 @@ class StackModel {
 
   /// Replace the power map of one layer (watts per cell).
   void set_layer_power(std::size_t layer, const PowerMap& power);
+  /// The same from a row of cells_per_layer() watts; allocates nothing.
+  void set_layer_power(std::size_t layer, std::span<const double> watts);
   /// Convenience: clear all power.
   void clear_power();
 

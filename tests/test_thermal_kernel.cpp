@@ -6,7 +6,8 @@
 //  * the hot path performs no heap allocations after construction -- checked
 //    with this binary's counting global operator new (tests are separate
 //    executables, so the override is visible to every allocation here) --
-//    including step_adi() and its refactorization,
+//    including step_adi() and its refactorization, and apply_power(),
+//  * apply_power() paints the watts of one PowerMap per source, bit for bit,
 //  * both integrators fail loudly past kMaxTransientSubsteps,
 //  * step_adi() matches a tight-dt explicit run within the documented
 //    tolerance and settles onto the steady state (energy balance, SOR),
@@ -208,14 +209,78 @@ TEST(ThermalKernel, SuperposedResolveIsAllocationFree) {
   model.solve_steady();
   const double at_80 = model.peak_dram().value();
 
-  // apply_power legitimately builds fresh PowerMaps; the no-allocation
-  // contract covers the solve and the stats it invalidates.
+  // The window covers the solve and the stats it invalidates; apply_power
+  // has its own test below.
   apply_bw(240.0);
   const std::uint64_t before = allocations();
   model.solve_steady();
   const double at_240 = model.peak_dram().value();
   EXPECT_EQ(allocations(), before) << "superposed re-solve allocated";
   EXPECT_GT(at_240, at_80);
+}
+
+/// A breakdown with distinct watts in every source.
+power::PowerBreakdown sample_breakdown(double scale) {
+  power::PowerBreakdown p;
+  p.logic_dynamic = Watts{3.1 * scale};
+  p.logic_background = Watts{4.7 * scale};
+  p.fu = Watts{1.3 * scale};
+  p.dram_dynamic = Watts{2.9 * scale};
+  p.dram_background = Watts{0.8 * scale};
+  return p;
+}
+
+TEST(ThermalKernel, ApplyPowerAndStepAreAllocationFreeAfterTheFirstCall) {
+  HmcThermalConfig cfg = hmc20_thermal_config(power::CoolingType::kCommodityServer);
+  cfg.vault_spread_cells = 2;
+  HmcThermalModel model{cfg};
+  model.apply_power(sample_breakdown(1.0));
+  model.step(Time::us(50.0));
+
+  const std::uint64_t before = allocations();
+  for (int i = 0; i < 20; ++i) {
+    model.apply_power(sample_breakdown(1.0 + 0.05 * i));
+    model.step(Time::us(50.0));
+  }
+  EXPECT_EQ(allocations(), before) << "apply_power/step allocated after the first call";
+}
+
+// apply_power() paints its rows in place; the watts must be the bits of one
+// PowerMap per source summed in layout order (logic background, logic
+// dynamic, FU; DRAM split over the dies), including spreads whose vault
+// blocks overlap.  Equal power gives bit-equal transients.
+TEST(ThermalKernel, ApplyPowerMatchesPowerMapSumsBitForBit) {
+  for (const int spread : {1, 2, 3, 5}) {
+    HmcThermalConfig cfg = hmc20_thermal_config(power::CoolingType::kCommodityServer);
+    cfg.vault_spread_cells = spread;
+    HmcThermalModel model{cfg};
+    StackModel reference{model.stack().spec()};
+    const Floorplan& fp = reference.spec().floorplan;
+
+    for (const double scale : {1.0, 2.7}) {
+      const power::PowerBreakdown p = sample_breakdown(scale);
+      model.apply_power(p);
+      PowerMap logic{fp.grid};
+      logic.add(uniform_power(fp, p.logic_background.value()));
+      logic.add(vault_centered_power(fp, p.logic_dynamic.value(), spread));
+      logic.add(vault_centered_power(fp, p.fu.value(), 1));
+      PowerMap dram{fp.grid};
+      dram.add(uniform_power(fp, p.dram_total().value() / static_cast<double>(cfg.dram_dies)));
+      reference.set_layer_power(0, logic);
+      for (std::size_t l = 1; l <= cfg.dram_dies; ++l) reference.set_layer_power(l, dram);
+
+      for (int s = 0; s < 3; ++s) {
+        model.stack().step(Time::us(50.0));
+        reference.step(Time::us(50.0));
+      }
+      const auto got = model.stack().temperatures_k();
+      const auto want = reference.temperatures_k();
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i], want[i]) << "spread " << spread << ", node " << i;
+      }
+    }
+  }
 }
 
 // ---- ADI kernel (StackModel::step_adi) ------------------------------------
