@@ -2,11 +2,14 @@
 // every scenario at scale 16, compared field-by-field against a checked-in
 // CSV.  Any drift beyond 1e-9 (relative) in speedups, bandwidth consumption,
 // or temperatures fails the test -- catching accidental model changes that
-// the unit tests' coarse bounds would let through.
+// the unit tests' coarse bounds would let through.  The matrix is pinned
+// twice: on the default epoch-throughput backend (matrix_scale16.csv) and
+// on the instruction-level pim-vault backend (matrix_pim_vault_scale16.csv),
+// whose rows depend on every CRF execution the PIM replay performs.
 //
 // To regenerate after an *intentional* model change:
 //   COOLPIM_GOLDEN_REGEN=1 ./build/tests/test_golden_matrix
-// then review the diff of tests/golden/matrix_scale16.csv and commit it.
+// then review the diff of tests/golden/*.csv and commit it.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "hmc/backend.hpp"
 #include "runner/experiment.hpp"
 
 namespace coolpim {
@@ -26,8 +30,6 @@ namespace {
 constexpr unsigned kScale = 16;
 constexpr unsigned kSeed = 1;  // matches bench::workloads()
 constexpr double kRelTol = 1e-9;
-
-const char* golden_path() { return COOLPIM_GOLDEN_DIR "/matrix_scale16.csv"; }
 
 struct GoldenRow {
   std::string workload;
@@ -39,11 +41,11 @@ struct GoldenRow {
   std::int64_t thermal_warnings{0};
 };
 
-std::vector<GoldenRow> compute_matrix() {
+std::vector<GoldenRow> compute_matrix(const sys::SystemConfig& base) {
   const sys::WorkloadSet set{kScale, kSeed};
   const std::vector<sys::Scenario> scenarios{std::begin(sys::kAllScenarios),
                                              std::end(sys::kAllScenarios)};
-  const auto matrix = runner::run_matrix(set, sys::workload_names(), scenarios);
+  const auto matrix = runner::run_matrix(set, sys::workload_names(), scenarios, base);
 
   std::vector<GoldenRow> rows;
   for (const auto& wl : matrix) {
@@ -106,18 +108,16 @@ void expect_close(double expected, double actual, const char* what) {
   EXPECT_NEAR(actual, expected, tol) << what << " drifted beyond 1e-9 relative";
 }
 
-TEST(GoldenMatrix, Scale16MatchesCheckedInResults) {
-  const auto rows = compute_matrix();
-
+void expect_matches_golden(const std::vector<GoldenRow>& rows, const std::string& path) {
   if (std::getenv("COOLPIM_GOLDEN_REGEN")) {
-    std::ofstream out{golden_path()};
-    ASSERT_TRUE(out) << "cannot write " << golden_path();
+    std::ofstream out{path};
+    ASSERT_TRUE(out) << "cannot write " << path;
     write_csv(rows, out);
-    GTEST_SKIP() << "regenerated " << golden_path() << " -- review and commit the diff";
+    GTEST_SKIP() << "regenerated " << path << " -- review and commit the diff";
   }
 
-  std::ifstream in{golden_path()};
-  ASSERT_TRUE(in) << "missing golden file " << golden_path()
+  std::ifstream in{path};
+  ASSERT_TRUE(in) << "missing golden file " << path
                   << "; run with COOLPIM_GOLDEN_REGEN=1 to create it";
   const auto golden = read_csv(in);
   ASSERT_EQ(rows.size(), golden.size()) << "matrix shape changed";
@@ -134,6 +134,17 @@ TEST(GoldenMatrix, Scale16MatchesCheckedInResults) {
     expect_close(g.peak_dram_temp_c, r.peak_dram_temp_c, "peak DRAM temperature");
     EXPECT_EQ(r.thermal_warnings, g.thermal_warnings);
   }
+}
+
+TEST(GoldenMatrix, Scale16MatchesCheckedInResults) {
+  expect_matches_golden(compute_matrix({}), COOLPIM_GOLDEN_DIR "/matrix_scale16.csv");
+}
+
+TEST(GoldenMatrix, PimVaultScale16MatchesCheckedInResults) {
+  sys::SystemConfig base;
+  base.backend = hmc::BackendKind::kPimVault;
+  expect_matches_golden(compute_matrix(base),
+                        COOLPIM_GOLDEN_DIR "/matrix_pim_vault_scale16.csv");
 }
 
 }  // namespace
