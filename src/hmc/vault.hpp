@@ -4,11 +4,16 @@
 // selected by the address, and for PIM operations drives the atomic RMW on
 // the locked bank through the vault's single functional unit (FU ops to
 // different banks of the same vault serialize on the FU).
+//
+// service() is on the pim-vault backend's per-operand replay path, so the
+// vault keeps only three plain per-kind counters; queueing is observable
+// through the completion times service() returns.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "hmc/bank.hpp"
 #include "hmc/config.hpp"
@@ -38,26 +43,19 @@ class Vault {
     const Time at_bank = arrival + ctrl_latency_;
 
     switch (type) {
-      case TransactionType::kRead64: {
-        const auto s = bank.schedule(at_bank, AccessKind::kRead, scale, row);
-        stats_.counter("reads").add();
-        record_wait(at_bank, s.start);
-        return s.complete;
-      }
-      case TransactionType::kWrite64: {
-        const auto s = bank.schedule(at_bank, AccessKind::kWrite, scale, row);
-        stats_.counter("writes").add();
-        record_wait(at_bank, s.start);
-        return s.complete;
-      }
+      case TransactionType::kRead64:
+        ++reads_;
+        return bank.schedule(at_bank, AccessKind::kRead, scale, row).complete;
+      case TransactionType::kWrite64:
+        ++writes_;
+        return bank.schedule(at_bank, AccessKind::kWrite, scale, row).complete;
       case TransactionType::kPimNoReturn:
       case TransactionType::kPimWithReturn: {
         // The FU is shared by all banks of the vault; serialize on it.
         const Time fu_start = std::max(at_bank, fu_ready_at_);
         const auto s = bank.schedule(fu_start, AccessKind::kPimRmw, scale, row);
         fu_ready_at_ = s.start + fu_latency_;
-        stats_.counter("pim_ops").add();
-        record_wait(at_bank, s.start);
+        ++pim_ops_;
         return s.complete;
       }
     }
@@ -65,20 +63,22 @@ class Vault {
     return arrival;
   }
 
-  [[nodiscard]] const StatSet& stats() const { return stats_; }
+  /// Transactions serviced so far, by kind.
+  [[nodiscard]] std::uint64_t reads() const { return reads_; }
+  [[nodiscard]] std::uint64_t writes() const { return writes_; }
+  [[nodiscard]] std::uint64_t pim_ops() const { return pim_ops_; }
+
   [[nodiscard]] std::size_t bank_count() const { return banks_.size(); }
   [[nodiscard]] const Bank& bank(std::size_t i) const { return banks_.at(i); }
 
  private:
-  void record_wait(Time arrival, Time start) {
-    stats_.summary("queue_wait_ns").record((start - arrival).as_ns());
-  }
-
   Time ctrl_latency_;
   Time fu_latency_;
   Time fu_ready_at_{Time::zero()};
   std::vector<Bank> banks_;
-  StatSet stats_;
+  std::uint64_t reads_{0};
+  std::uint64_t writes_{0};
+  std::uint64_t pim_ops_{0};
 };
 
 }  // namespace coolpim::hmc

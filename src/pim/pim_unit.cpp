@@ -32,7 +32,7 @@ PimUnit::PimUnit(std::uint32_t vault_index, CrfProgram program, hmc::Vault& vaul
 
 std::uint64_t PimUnit::next_random() { return splitmix64(rng_state_); }
 
-ExecStats PimUnit::execute(Time start, double scale) {
+ExecStats PimUnit::execute(Time start, double scale, std::vector<CrfTraceEntry>* trace) {
   COOLPIM_REQUIRE(scale > 0.0, "PIM unit cannot execute while shut down");
 
   ExecStats stats;
@@ -55,30 +55,21 @@ ExecStats PimUnit::execute(Time start, double scale) {
     const std::uint32_t this_ppc = static_cast<std::uint32_t>(ppc);
     clock += kDecodeLatency;  // one sequencer cycle per fetched instruction
     ++stats.instructions;
-
-    CrfTraceEntry entry;
-    entry.vault = vault_index_;
-    entry.ppc = this_ppc;
-    entry.op = ins.op;
-    entry.issue_ps = static_cast<std::uint64_t>(clock.as_ps());
-    entry.complete_ps = entry.issue_ps;
+    std::size_t bank = 0;
+    Time complete = clock;
 
     switch (ins.op) {
       case CrfOpcode::kNop:
         ++ppc;
         break;
       case CrfOpcode::kPim: {
-        const auto bank = static_cast<std::size_t>((segment + op_idx) % bank_count);
+        bank = static_cast<std::size_t>((segment + op_idx) % bank_count);
         const std::uint64_t row = ((segment >> 8) + op_idx) % 64;
         ++op_idx;
         if (vault_->bank(bank).ready_at() > clock) ++stats.bank_conflicts;
-        const Time complete =
-            vault_->service(clock, hmc::transaction_for(ins.pim), bank, scale, row);
+        complete = vault_->service(clock, hmc::transaction_for(ins.pim), bank, scale, row);
         stats.done = std::max(stats.done, complete);
         ++stats.pim_ops;
-        entry.pim = ins.pim;
-        entry.bank = static_cast<std::uint32_t>(bank);
-        entry.complete_ps = static_cast<std::uint64_t>(complete.as_ps());
         ++ppc;
         break;
       }
@@ -102,7 +93,17 @@ ExecStats PimUnit::execute(Time start, double scale) {
         running = false;  // PPC resets; the unit is ready for the next trigger
         break;
     }
-    trace_.push_back(entry);
+    if (trace != nullptr) {
+      CrfTraceEntry entry;
+      entry.vault = vault_index_;
+      entry.ppc = this_ppc;
+      entry.op = ins.op;
+      if (ins.op == CrfOpcode::kPim) entry.pim = ins.pim;
+      entry.bank = static_cast<std::uint32_t>(bank);
+      entry.issue_ps = static_cast<std::uint64_t>(clock.as_ps());
+      entry.complete_ps = static_cast<std::uint64_t>(complete.as_ps());
+      trace->push_back(entry);
+    }
   }
 
   decode_ready_ = clock;

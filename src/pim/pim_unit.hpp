@@ -9,6 +9,10 @@
 // follow a deterministic per-vault splitmix64 stream (graph-property
 // accesses are effectively random across banks); a bank conflict is counted
 // whenever the selected bank is still busy at issue time.
+//
+// The unit keeps no trace of its own: execute() appends one CrfTraceEntry
+// per decoded instruction only to a sink its caller passes, so the
+// pim-vault backend's replay (which passes none) records nothing.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +25,9 @@
 namespace coolpim::pim {
 
 /// One executed CRF instruction, for determinism checks (same seed ==> the
-/// byte-identical sequence).  Times are picoseconds to keep equality exact.
+/// byte-identical sequence).  Times are picoseconds to keep equality exact;
+/// `pim` and `bank` keep their defaults and complete_ps == issue_ps for
+/// control-flow instructions.
 struct CrfTraceEntry {
   std::uint32_t vault{0};
   std::uint32_t ppc{0};
@@ -49,15 +55,14 @@ class PimUnit {
           std::uint64_t seed);
 
   /// Run one full program execution (trigger to EXIT) starting no earlier
-  /// than `start`, with thermal service scale `scale` (1.0 nominal).
-  ExecStats execute(Time start, double scale);
+  /// than `start`, with thermal service scale `scale` (1.0 nominal).  When
+  /// `trace` is given, one entry per decoded instruction is appended to it.
+  ExecStats execute(Time start, double scale, std::vector<CrfTraceEntry>* trace = nullptr);
 
   /// When the unit's decode stage frees (next execution can trigger).
   [[nodiscard]] Time ready_at() const { return decode_ready_; }
 
   [[nodiscard]] const CrfProgram& program() const { return program_; }
-  [[nodiscard]] const std::vector<CrfTraceEntry>& trace() const { return trace_; }
-  void clear_trace() { trace_.clear(); }
 
   /// Decode-stage cost per CRF instruction (one sequencer cycle).
   static constexpr Time kDecodeLatency = Time::ns(1.0);
@@ -70,7 +75,6 @@ class PimUnit {
   hmc::Vault* vault_;
   std::uint64_t rng_state_;
   Time decode_ready_{Time::zero()};
-  std::vector<CrfTraceEntry> trace_;
 };
 
 }  // namespace coolpim::pim
