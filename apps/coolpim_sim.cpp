@@ -200,7 +200,7 @@ int run(int argc, char** argv) {
   run_opt.jobs = opt.rc.jobs;
   std::optional<obs::SweepObserver> observer;
   if (!opt.rc.trace_path.empty() || !opt.rc.counters_path.empty()) {
-    observer.emplace(!opt.rc.trace_path.empty(), !opt.rc.counters_path.empty());
+    observer.emplace();
     run_opt.obs = &*observer;
   }
   const std::vector<sys::RunResult> runs = runner::run_sweep(set, experiments, run_opt);

@@ -3,8 +3,6 @@
 // Paper Section IV-B: "A larger CF value allows for a fast cooldown of HMC;
 // however, it also increases the chance of under-tuning the PTP size"; and
 // Section IV-C motivates the delayed PCU updates by the over-reduction risk.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -44,22 +42,10 @@ void print_cf_sweep() {
                "(under-tuned PIM rate) -- the trade-off the paper describes.\n";
 }
 
-void BM_CoolPimSwRun(benchmark::State& state) {
-  (void)workloads();
-  sys::SystemConfig cfg;
-  cfg.sw_control_factor = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one("dc", sys::Scenario::kCoolPimSw, cfg).exec_time);
-  }
-}
-BENCHMARK(BM_CoolPimSwRun)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   coolpim::bench::init_observability(&argc, argv);
   print_cf_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

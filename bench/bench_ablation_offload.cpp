@@ -4,8 +4,6 @@
 // Paper Section II-B: "the cache-bypassing policy can bring an additional
 // performance benefit because of avoiding the unnecessary cache-checking
 // overhead" -- here quantified as the coherence traffic PEI adds per offload.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -52,23 +50,11 @@ void print_coalescing() {
                "the bandwidth gap PIM offloading can exploit.\n";
 }
 
-void BM_PeiRun(benchmark::State& state) {
-  (void)workloads();
-  sys::SystemConfig cfg;
-  cfg.gpu.offload_policy = gpu::OffloadPolicy::kCoherentWriteback;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one("dc", sys::Scenario::kCoolPimHw, cfg).exec_time);
-  }
-}
-BENCHMARK(BM_PeiRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   coolpim::bench::init_observability(&argc, argv);
   print_offload_policy();
   print_coalescing();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

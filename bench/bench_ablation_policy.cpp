@@ -1,8 +1,6 @@
 // Ablations on the policy knobs DESIGN.md calls out: Eq. 1 initialization
 // margin, warning-threshold placement, target PIM rate, and the epoch-length
 // sensitivity of the full-system model.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -65,14 +63,6 @@ void print_epoch_sweep() {
   std::cout << "Results are stable across epoch lengths, validating the 10 us default.\n";
 }
 
-void BM_PolicyRun(benchmark::State& state) {
-  (void)workloads();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_one("dc", sys::Scenario::kCoolPimHw).exec_time);
-  }
-}
-BENCHMARK(BM_PolicyRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -80,7 +70,5 @@ int main(int argc, char** argv) {
   print_margin_sweep();
   print_target_sweep();
   print_epoch_sweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

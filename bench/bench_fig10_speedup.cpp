@@ -1,8 +1,7 @@
 // Fig. 10: speedup over the non-offloading baseline for naive offloading,
 // CoolPIM (SW), CoolPIM (HW) and the ideal-thermal scenario across the ten
 // GraphBIG workloads on the LDBC-like graph.
-#include <benchmark/benchmark.h>
-
+#include <cmath>
 #include <iostream>
 
 #include "common/table.hpp"
@@ -46,25 +45,10 @@ void print_fig10() {
          "offloading benefit unless the source is throttled.\n";
 }
 
-void BM_SystemRun(benchmark::State& state, const char* workload, sys::Scenario scenario) {
-  (void)scenario_matrix();  // ensure the shared set is built outside timing
-  for (auto _ : state) {
-    const auto r = run_one(workload, scenario);
-    benchmark::DoNotOptimize(r.exec_time);
-    state.counters["sim_exec_ms"] = r.exec_time.as_ms();
-  }
-}
-BENCHMARK_CAPTURE(BM_SystemRun, dc_coolpim_hw, "dc", sys::Scenario::kCoolPimHw)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SystemRun, dc_naive, "dc", sys::Scenario::kNaiveOffloading)
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   coolpim::bench::init_observability(&argc, argv);
   print_fig10();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,9 +4,10 @@
 // Three measurements:
 //
 //  - construction: end-to-end sys::WorkloadSet build (RMAT graph + all ten
-//    GraphBIG profiling runs), serial reference path vs. the pool-parallel
-//    fast path, with a field-by-field bit-equivalence check between the two
-//    (the acceptance contract: parallelism must never change a profile).
+//    GraphBIG profiling runs), at jobs = 1 (serial CSR build, one profiling
+//    run after another) vs. the pool-parallel fast path, with a field-by-field
+//    bit-equivalence check between the two (the acceptance contract:
+//    parallelism must never change a profile).
 //
 //  - cache: the same build against a fresh COOLPIM_PROFILE_CACHE directory,
 //    cold (computes + stores) then warm (every profile served from disk,
@@ -75,9 +76,10 @@ int main(int argc, char** argv) {
   if (jobs == 0) jobs = runner::Pool::default_jobs();
   const std::uint64_t seed = 1;
 
-  // --- construction: serial reference vs. parallel fast path ---------------
+  // --- construction: jobs = 1 vs. parallel fast path -----------------------
   sys::WorkloadSet::BuildOptions serial_opt;
-  serial_opt.serial_reference = true;
+  serial_opt.jobs = 1;
+  serial_opt.use_cache = false;
   bench::StopWatch clock;
   const sys::WorkloadSet serial_set{scale, seed, false, serial_opt};
   const double serial_ms = clock.elapsed_ms();

@@ -1,6 +1,6 @@
 // Perf harness for the simulation kernel, emitted as BENCH_sim.json.
 //
-// Four measurements:
+// Three measurements:
 //
 //  - queue: raw event throughput through sim::Simulation / sim::EventQueue.
 //    A fan of self-rescheduling one-shot chains with co-prime periods keeps
@@ -11,11 +11,6 @@
 //  - periodic: the schedule_periodic re-arm path (shared state + inline
 //    re-arm functor), as used by every component tick in the full system.
 //
-//  - end_to_end: a few full sys::System runs (GPU -> HMC -> power ->
-//    thermal -> throttle loop) timed per run.  A cheap smoke number only:
-//    the repository benchmark's fig10-matrix workload (bench/e2e/README.md)
-//    supersedes it as the end-to-end wall-time measurement.
-//
 //  - backend (gated): the hmc::Backend fidelity tiers (DESIGN.md section
 //    15).  Cross-validates the analytic epoch-throughput tier against the
 //    instruction-level pim-vault tier on every GraphBIG micro-kernel
@@ -25,8 +20,8 @@
 //    artifacts.  A kernel outside tolerance fails the binary (exit 1).
 //
 // Flags: --out FILE (default BENCH_sim.json), --quick (CI smoke: fewer
-// events, tiny graph scale), --scale N (graph scale override).  Unknown
-// flags and malformed values exit 2.
+// events and epochs).  Unknown flags and missing values exit 2.  End-to-end
+// run wall time is the repository benchmark's job (bench/e2e/README.md).
 #include <cmath>
 #include <cstdint>
 #include <iostream>
@@ -37,7 +32,6 @@
 #include "pim/programs.hpp"
 #include "pim/xval.hpp"
 #include "sim/simulation.hpp"
-#include "sys/system.hpp"
 
 #include "perf_support.hpp"
 
@@ -106,51 +100,6 @@ QueueResult measure_periodic(std::uint64_t total_events) {
   return r;
 }
 
-struct EndToEndRun {
-  std::string workload;
-  std::string scenario;
-  double wall_ms;
-  double sim_time_ms;
-  double peak_dram_c;
-};
-
-struct EndToEndResult {
-  unsigned scale;
-  double workload_build_ms;
-  std::vector<EndToEndRun> runs;
-  double total_wall_ms{0.0};
-};
-
-EndToEndResult measure_end_to_end(const sys::WorkloadSet& set, unsigned scale,
-                                  std::size_t n_workloads, double workload_build_ms) {
-  EndToEndResult r{};
-  r.scale = scale;
-  r.workload_build_ms = workload_build_ms;
-
-  const auto& names = sys::workload_names();
-  const sys::Scenario scenarios[] = {sys::Scenario::kNonOffloading,
-                                     sys::Scenario::kNaiveOffloading,
-                                     sys::Scenario::kCoolPimHw};
-  for (std::size_t w = 0; w < names.size() && w < n_workloads; ++w) {
-    for (const auto scenario : scenarios) {
-      sys::SystemConfig cfg;
-      cfg.scenario = scenario;
-      bench::StopWatch clock;
-      sys::System system{cfg};
-      const auto result = system.run(set.profile(names[w]));
-      EndToEndRun run;
-      run.workload = names[w];
-      run.scenario = std::string{sys::to_string(scenario)};
-      run.wall_ms = clock.elapsed_ms();
-      run.sim_time_ms = result.exec_time.as_ms();
-      run.peak_dram_c = result.peak_dram_temp.value();
-      r.total_wall_ms += run.wall_ms;
-      r.runs.push_back(std::move(run));
-    }
-  }
-  return r;
-}
-
 struct BackendXvalRow {
   std::string kernel;
   pim::XvalPoint point;
@@ -209,23 +158,17 @@ BackendResult measure_backends(bool quick) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bench::Args args{argc, argv, {"--out", "--scale"}, {"--quick"}};
+  const bench::Args args{argc, argv, {"--out"}, {"--quick"}};
   const std::string out = args.value("--out", "BENCH_sim.json");
   const bool quick = args.flag("--quick");
-  const unsigned scale = args.number("--scale", quick ? 10 : 16);
   const std::uint64_t queue_events = quick ? 100'000 : 2'000'000;
-  const std::size_t n_workloads = quick ? 1 : 2;
 
   const QueueResult q = measure_queue(queue_events);
   const QueueResult p = measure_periodic(queue_events / 4);
-  bench::StopWatch build_clock;
-  const sys::WorkloadSet set{scale, 1};
-  const double workload_build_ms = build_clock.elapsed_ms();
-  const EndToEndResult e = measure_end_to_end(set, scale, n_workloads, workload_build_ms);
   const BackendResult be = measure_backends(quick);
 
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-sim/5");
+  json.kv("schema", "coolpim-bench-sim/6");
   json.kv("quick", quick);
   json.begin_object("queue");
   json.kv("events", q.events);
@@ -238,22 +181,6 @@ int main(int argc, char** argv) {
   json.kv("wall_ms", p.wall_ms);
   json.kv("events_per_sec", p.events_per_sec);
   json.kv("ns_per_event", p.ns_per_event);
-  json.end();
-  json.begin_object("end_to_end");
-  json.kv("scale", static_cast<std::uint64_t>(e.scale));
-  json.kv("workload_build_ms", e.workload_build_ms);
-  json.kv("total_wall_ms", e.total_wall_ms);
-  json.begin_array("runs");
-  for (const auto& run : e.runs) {
-    json.begin_object();
-    json.kv("workload", run.workload);
-    json.kv("scenario", run.scenario);
-    json.kv("wall_ms", run.wall_ms);
-    json.kv("sim_time_ms", run.sim_time_ms);
-    json.kv("peak_dram_c", run.peak_dram_c);
-    json.end();
-  }
-  json.end();
   json.end();
   json.begin_object("backend");
   json.kv("xval_epochs", static_cast<std::uint64_t>(be.xval_epochs));
@@ -283,8 +210,6 @@ int main(int argc, char** argv) {
   std::cout << "Queue:     " << q.events_per_sec / 1e6 << " M events/s (" << q.ns_per_event
             << " ns/event)\n"
             << "Periodic:  " << p.events_per_sec / 1e6 << " M events/s\n"
-            << "End-to-end (scale " << e.scale << "): " << e.total_wall_ms << " ms over "
-            << e.runs.size() << " runs\n"
             << "Backend:   serve cost " << be.epoch_throughput_ns_per_epoch << " / "
             << be.pim_vault_ns_per_epoch
             << " ns per epoch (epoch-throughput / pim-vault); xval "

@@ -2,11 +2,12 @@
 //
 // Three measurements, emitted as BENCH_thermal.json:
 //
-//  - transient: ns per cell-substep of the branch-free flat-stencil sweep
-//    (StackModel::step) against the retained guarded reference sweep
-//    (step_reference), on the HMC 2.0 commodity-sink stack at full read
-//    bandwidth -- the Fig. 3 / Fig. 13 operating point.  Both kernels are
-//    bit-identical by contract; the harness cross-checks the final fields.
+//  - transient: ns per cell-substep of the branch-free row-band sweep
+//    (StackModel::step) against the guarded per-node reference sweep
+//    (ReferenceSweep, tests/support), on the HMC 2.0 commodity-sink stack at
+//    full read bandwidth -- the Fig. 3 / Fig. 13 operating point.  Both
+//    kernels are bit-identical by contract; the harness cross-checks the
+//    final fields.
 //
 //  - steady: wall time of the Fig. 3/4 bandwidth sweep (Table 2's four
 //    cooling solutions x bandwidth 0..320 GB/s) solved by SOR from ambient
@@ -38,6 +39,7 @@
 #include "thermal/stack_model.hpp"
 
 #include "perf_support.hpp"
+#include "support/thermal_reference.hpp"
 #include "thermal_points.hpp"
 
 using namespace coolpim;
@@ -113,6 +115,7 @@ TransientResult measure_transient(bool quick) {
   // best window.
   thermal::StackModel& fast_stack = fast.stack();
   thermal::StackModel& ref_stack = ref.stack();
+  const thermal::ReferenceSweep oracle{ref_stack.spec()};
   r.fast_ns_per_cell_substep = std::numeric_limits<double>::infinity();
   r.reference_ns_per_cell_substep = std::numeric_limits<double>::infinity();
   for (int w = 0; w < windows; ++w) {
@@ -123,7 +126,7 @@ TransientResult measure_transient(bool quick) {
     r.fast_steps += steps;
     r.reference_ns_per_cell_substep = std::min(
         r.reference_ns_per_cell_substep,
-        time_steps([&] { ref_stack.step_reference(dt); }, 1, window_sec, cells, &steps));
+        time_steps([&] { oracle.step(ref_stack, dt); }, 1, window_sec, cells, &steps));
     r.reference_steps += steps;
   }
   r.speedup = r.reference_ns_per_cell_substep / r.fast_ns_per_cell_substep;
@@ -131,7 +134,7 @@ TransientResult measure_transient(bool quick) {
   // Bit-identity cross-check: advance both models to the same step count and
   // require exactly equal peak temperatures.
   for (std::uint64_t s = r.fast_steps; s < r.reference_steps; ++s) fast_stack.step(dt);
-  for (std::uint64_t s = r.reference_steps; s < r.fast_steps; ++s) ref_stack.step_reference(dt);
+  for (std::uint64_t s = r.reference_steps; s < r.fast_steps; ++s) oracle.step(ref_stack, dt);
   r.bit_identical = fast.peak_dram().value() == ref.peak_dram().value() &&
                     fast.peak_logic().value() == ref.peak_logic().value();
   return r;

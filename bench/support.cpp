@@ -26,8 +26,8 @@ sys::RunConfig& mutable_run_config() {
 /// Output files are flushed from the destructor at normal process exit.
 struct ObsState {
   std::optional<obs::SweepObserver> obs;
-  /// Experiment keys already recorded; micro-phase repeats of a table-phase
-  /// run are served from the result cache instead of being re-traced.
+  /// Experiment keys already recorded; repeats of a run are served from the
+  /// result cache instead of being re-traced.
   std::unordered_set<std::uint64_t> seen;
 
   ObsState() { refresh(); }
@@ -35,7 +35,7 @@ struct ObsState {
   void refresh() {
     const auto& rc = mutable_run_config();
     if (!obs && (!rc.trace_path.empty() || !rc.counters_path.empty())) {
-      obs.emplace(!rc.trace_path.empty(), !rc.counters_path.empty());
+      obs.emplace();
     }
   }
 
@@ -91,9 +91,9 @@ const sys::WorkloadSet& workloads() {
 
 sys::RunResult run_one(const std::string& workload, sys::Scenario scenario,
                        const sys::SystemConfig& base) {
-  // Routed through the runner so the micro phases of a bench binary reuse
-  // the table phase's cached results for identical (workload, scenario,
-  // config) triples.
+  // Routed through the runner so a bench binary whose tables repeat a
+  // (workload, scenario, config) triple -- typically a shared baseline --
+  // runs it once.
   const sys::SystemConfig cfg = with_process_faults(base);
   runner::RunOptions opt;
   opt.jobs = run_config().jobs;

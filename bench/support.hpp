@@ -1,6 +1,6 @@
 // Shared infrastructure for the reproduction benches: every bench binary
-// prints its paper table/figure and then runs its google-benchmark micro
-// measurements, so `for b in build/bench/*; do $b; done` regenerates the
+// prints its paper table/figure (some then run google-benchmark micro
+// measurements), so `for b in build/bench/*; do $b; done` regenerates the
 // whole evaluation.
 #pragma once
 
@@ -56,9 +56,9 @@ struct ScenarioRow {
 /// benchmark::Initialize swallows the argument list); the COOLPIM_TRACE /
 /// COOLPIM_COUNTERS environment variables work for any bench without the
 /// call.  Each *distinct* experiment the bench runs is recorded once (keyed
-/// by runner::experiment_key, so google-benchmark's repeat loops reuse the
-/// result cache instead of re-tracing), and the files are written when the
-/// process exits.  Schema: docs/OBSERVABILITY.md.
+/// by runner::experiment_key, so a baseline several tables share is served
+/// from the result cache instead of re-traced), and the files are written
+/// when the process exits.  Schema: docs/OBSERVABILITY.md.
 void init_observability(int* argc, char** argv);
 
 }  // namespace coolpim::bench

@@ -65,48 +65,6 @@ class Summary {
   double last_{0.0};
 };
 
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets so nothing is silently dropped.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets) : lo_{lo}, hi_{hi}, counts_(buckets, 0) {
-    COOLPIM_REQUIRE(hi > lo, "histogram range must be non-empty");
-    COOLPIM_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-  }
-
-  void record(double x) {
-    const double t = (x - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::int64_t>(t * static_cast<double>(counts_.size()));
-    idx = std::clamp<std::int64_t>(idx, 0, static_cast<std::int64_t>(counts_.size()) - 1);
-    ++counts_[static_cast<std::size_t>(idx)];
-    ++total_;
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  [[nodiscard]] double bucket_lo(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-
-  /// Linear-interpolated percentile (q in [0,1]).
-  [[nodiscard]] double percentile(double q) const {
-    COOLPIM_ASSERT(q >= 0.0 && q <= 1.0);
-    if (total_ == 0) return lo_;
-    const double target = q * static_cast<double>(total_);
-    double cum = 0.0;
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      cum += static_cast<double>(counts_[i]);
-      if (cum >= target) return bucket_lo(i);
-    }
-    return hi_;
-  }
-
- private:
-  double lo_, hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_{0};
-};
-
 /// Named bag of counters/summaries; the dump format is consumed by benches.
 class StatSet {
  public:

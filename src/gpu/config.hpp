@@ -63,7 +63,6 @@ struct GpuConfig {
   [[nodiscard]] std::size_t max_resident_blocks() const {
     return num_sms * max_blocks_per_sm;
   }
-  [[nodiscard]] std::size_t max_resident_warps() const { return num_sms * max_warps_per_sm; }
 
   /// Positivity comes before every division, so a zero fails as a
   /// ConfigError rather than a SIGFPE.

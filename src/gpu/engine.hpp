@@ -60,7 +60,6 @@ class ExecutionEngine {
 
   [[nodiscard]] bool finished() const { return launch_idx_ >= launches_.size(); }
   [[nodiscard]] std::size_t current_launch() const { return launch_idx_; }
-  [[nodiscard]] std::size_t launch_count() const { return launches_.size(); }
 
   /// Fraction of atomic work currently allowed to offload (token-holding
   /// block share times the PCU warp fraction).

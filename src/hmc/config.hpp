@@ -16,10 +16,8 @@ struct DramTiming {
   Time tRP{Time::ns(13.75)};
   Time tRAS{Time::ns(27.5)};
 
-  /// Closed-page random-access service time: ACT(tRCD) + CAS(tCL) with the
-  /// precharge overlapped by tRAS restoration; bank is reusable after
-  /// tRAS + tRP.
-  [[nodiscard]] Time access_latency() const { return tRCD + tCL; }
+  /// Closed-page bank cycle: the precharge overlaps tRAS restoration, so a
+  /// bank is reusable after tRAS + tRP.
   [[nodiscard]] Time bank_cycle() const { return tRAS + tRP; }
 };
 
@@ -49,9 +47,6 @@ struct HmcConfig {
   [[nodiscard]] std::size_t banks_per_vault() const { return banks / vaults; }
   [[nodiscard]] Bandwidth link_raw_total() const {
     return link_raw_per_link * static_cast<double>(links);
-  }
-  [[nodiscard]] Bandwidth link_data_total() const {
-    return link_data_per_link * static_cast<double>(links);
   }
 
   void validate() const {

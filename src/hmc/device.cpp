@@ -72,11 +72,6 @@ void Device::submit(const Request& req, ResponseCallback on_response) {
     stats_.counter("thermal_warnings").add();
     if (counters_ != nullptr) counters_->counter(obs::names::kHmcThermalWarnings).add();
   }
-  // The wire can corrupt or lose the response on its way back; the device's
-  // own state (vault timing, stats) is unaffected -- only the host-visible
-  // copy carries the outcome.
-  if (integrity_) resp.integrity = integrity_(resp_done, resp);
-
   if (trace_.enabled()) {
     trace_.complete(now, resp_done - now, obs::names::kCatHmc, "request",
                     {{"type", static_cast<int>(req.type)},

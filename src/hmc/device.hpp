@@ -64,7 +64,6 @@ class Device {
 
   /// Thermal coupling: the system updates the DRAM temperature each epoch.
   void set_dram_temperature(Celsius t);
-  [[nodiscard]] Celsius dram_temperature() const { return dram_temp_; }
   [[nodiscard]] ThermalPhase phase() const { return policy_.phase(dram_temp_); }
   [[nodiscard]] bool warning_active() const { return policy_.warning(dram_temp_); }
   [[nodiscard]] bool is_shut_down() const { return shut_down_; }
@@ -88,15 +87,6 @@ class Device {
     trace_ = trace;
     counters_ = counters;
   }
-
-  /// Link fault hook: called once per response with its in-flight integrity
-  /// outcome (fault::FaultPlan provides one).  The device still *raises* the
-  /// ERRSTAT bit from its own temperature -- corruption happens on the wire,
-  /// so only the host-visible copy is affected -- and a kCrcDetected /
-  /// kLost response reaches the callback with integrity marked so the host
-  /// side can retry or drop.  No hook installed = every packet kClean.
-  using IntegrityFilter = std::function<PacketIntegrity(Time now, const Response&)>;
-  void set_integrity_filter(IntegrityFilter filter) { integrity_ = std::move(filter); }
 
  private:
   [[nodiscard]] Time serialize_on_link(std::uint32_t flits, Time earliest);
@@ -126,7 +116,6 @@ class Device {
   StatSet stats_;
   obs::Trace trace_;
   obs::CounterRegistry* counters_{nullptr};
-  IntegrityFilter integrity_;
 };
 
 }  // namespace coolpim::hmc

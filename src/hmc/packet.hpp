@@ -72,18 +72,6 @@ enum class ErrStat : std::uint8_t {
   kThermalWarning = 0x01,  // operational temperature limit exceeded
 };
 
-/// Link-level packet integrity.  Every HMC packet tail carries a 32-bit CRC
-/// over the whole packet; a receiver that detects a mismatch discards the
-/// packet and the link layer replays it from the transmitter's retry buffer
-/// (the spec's retry-pointer flow control).  The simulator models detection
-/// *outcomes*, not the polynomial: a corrupted packet is either caught by
-/// the CRC (and retried, see hmc::LinkRetryPolicy) or lost outright.
-enum class PacketIntegrity : std::uint8_t {
-  kClean = 0,        // CRC passes, payload intact
-  kCrcDetected = 1,  // corrupted in flight, CRC catches it -> link retry
-  kLost = 2,         // dropped in flight, nothing to retry from
-};
-
 /// A request as seen by the device front end.
 struct Request {
   TransactionType type{TransactionType::kRead64};
@@ -96,9 +84,6 @@ struct Response {
   std::uint32_t tag{0};
   ErrStat errstat{ErrStat::kOk};
   bool atomic_success{true};  // PIM atomic-flag (always set on success)
-  /// In-flight outcome as seen by the host's link master (set by the fault
-  /// layer's integrity filter; always kClean on a fault-free link).
-  PacketIntegrity integrity{PacketIntegrity::kClean};
 };
 
 }  // namespace coolpim::hmc

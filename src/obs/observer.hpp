@@ -53,13 +53,6 @@ class SweepObserver {
     RunObserver obs;
   };
 
-  SweepObserver() = default;
-  SweepObserver(bool want_trace, bool want_counters)
-      : want_trace_{want_trace}, want_counters_{want_counters} {}
-
-  [[nodiscard]] bool trace_enabled() const { return want_trace_; }
-  [[nodiscard]] bool counters_enabled() const { return want_counters_; }
-
   /// Register the next task; the returned record stays valid for the
   /// observer's lifetime (deque storage, no reallocation of elements).
   TaskRecord* add_task(std::string workload, std::string scenario);
@@ -70,8 +63,6 @@ class SweepObserver {
   void write_counters_csv(std::ostream& os) const;
 
  private:
-  bool want_trace_{true};
-  bool want_counters_{true};
   mutable std::mutex mu_;
   std::deque<TaskRecord> tasks_;
 };

@@ -10,9 +10,9 @@
 //    runs it, in what order, or at what jobs count.  jobs=1 and jobs=N
 //    sweeps are bit-identical (property-tested in test_runner).
 //  * Caching: results are memoized process-wide under the key, so a bench
-//    binary that runs the scenario matrix for its table phase and then
-//    re-runs (workload, scenario) pairs in its google-benchmark micro phase
-//    reuses the finished runs instead of recomputing them.
+//    binary whose tables re-run an experiment computes it once --
+//    bench_ablation_policy runs ("dc", Non-Offloading) as the baseline of
+//    three tables.
 //
 // Because run_seed is derived from the key, it is excluded from the hash
 // itself; the runner overwrites whatever value the caller left there.

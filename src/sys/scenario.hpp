@@ -39,16 +39,4 @@ inline constexpr Scenario kAllScenarios[] = {
     Scenario::kMpc,           Scenario::kPolicyTable,
 };
 
-/// Inverse of to_string(); returns false (leaving `out` untouched) for an
-/// unknown name.
-[[nodiscard]] constexpr bool scenario_from_string(std::string_view name, Scenario& out) {
-  for (const Scenario s : kAllScenarios) {
-    if (to_string(s) == name) {
-      out = s;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace coolpim::sys

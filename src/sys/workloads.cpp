@@ -64,7 +64,7 @@ bool cached_profiles_usable(const std::vector<graph::WorkloadProfile>& cached,
 }
 
 std::string resolve_cache_dir(const WorkloadSet::BuildOptions& options) {
-  if (!options.use_cache || options.serial_reference) return {};
+  if (!options.use_cache) return {};
   if (!options.cache_dir.empty()) return options.cache_dir;
   if (const char* env = std::getenv("COOLPIM_PROFILE_CACHE"); env && *env) return env;
   return {};
@@ -84,13 +84,11 @@ WorkloadSet::WorkloadSet(unsigned scale, std::uint64_t seed, bool include_extend
     names.insert(names.end(), ext.begin(), ext.end());
   }
 
-  // The serial reference path runs with no pool at all; otherwise the CSR
-  // build and the profiling runs share one pool.
-  std::unique_ptr<runner::Pool> pool;
-  if (!options.serial_reference) pool = std::make_unique<runner::Pool>(options.jobs);
-  stats_.jobs = pool ? pool->size() : 1;
+  // The CSR build and the profiling runs share one pool.
+  runner::Pool pool{options.jobs};
+  stats_.jobs = pool.size();
 
-  graph_ = graph::make_ldbc_like(scale, seed, pool.get());
+  graph_ = graph::make_ldbc_like(scale, seed, &pool);
 
   // Traverse from the highest-degree vertex (standard practice for RMAT
   // graphs, where random vertices are often isolated).
@@ -116,16 +114,11 @@ WorkloadSet::WorkloadSet(unsigned scale, std::uint64_t seed, bool include_extend
     // Each run writes its own pre-sized slot: output order is the name-list
     // order regardless of completion order, and every run is a pure function
     // of the shared const graph, so the profiles (checksums included) are
-    // bit-identical to the serial path at any jobs count.
+    // bit-identical at any jobs count.
     profiles_.resize(names.size());
-    const auto run_one = [&](std::size_t i) {
+    pool.parallel_for(names.size(), [&](std::size_t i) {
       profiles_[i] = compute_profile(graph_, source, names[i]);
-    };
-    if (pool) {
-      pool->parallel_for(names.size(), run_one);
-    } else {
-      for (std::size_t i = 0; i < names.size(); ++i) run_one(i);
-    }
+    });
     stats_.profiles_computed = names.size();
     if (!cache_dir.empty()) stats_.cache_stored = save_profiles(cache_dir, key, profiles_);
   }

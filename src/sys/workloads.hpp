@@ -4,15 +4,14 @@
 // Construction is the profiling fast path: the CSR build fans out over a
 // runner::Pool, the traversal source comes from the cached degree table, and
 // the independent workload profiling runs execute in parallel into fixed
-// output slots -- bit-identical to the serial reference path at any jobs
-// count.  With COOLPIM_PROFILE_CACHE=<dir> set (or BuildOptions::cache_dir),
+// output slots -- bit-identical to a jobs = 1 build (serial CSR, one
+// workload after another) at any jobs count.  With COOLPIM_PROFILE_CACHE=<dir> set (or BuildOptions::cache_dir),
 // profiles are loaded from / saved to a persistent content-addressed cache
 // (sys/profile_cache.hpp) and warm runs skip the functional kernels
 // entirely.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -38,10 +37,6 @@ class WorkloadSet {
     /// Profiling/CSR-build parallelism; 0 = runner::Pool::default_jobs()
     /// (COOLPIM_JOBS, else hardware concurrency).
     unsigned jobs{0};
-    /// Run the original single-threaded construction with no pool and no
-    /// cache -- the equivalence oracle the parallel path is tested against
-    /// (same contract as the thermal solver's step_reference()).
-    bool serial_reference{false};
     /// Consult the persistent profile cache.  The directory comes from
     /// `cache_dir` if non-empty, else the COOLPIM_PROFILE_CACHE environment
     /// variable; if neither is set the cache is silently off.

@@ -43,55 +43,19 @@ PowerMap uniform_power(const Floorplan& fp, double total_watts) {
   return map;
 }
 
-std::vector<std::vector<std::size_t>> vault_blocks(const Floorplan& fp, int spread_cells) {
-  COOLPIM_REQUIRE(spread_cells >= 1, "spread_cells must be >= 1");
-  std::vector<std::vector<std::size_t>> blocks;
-  blocks.reserve(fp.vault_count());
-  const int radius = spread_cells - 1;
+std::vector<std::size_t> vault_center_cells(const Floorplan& fp) {
+  std::vector<std::size_t> cells;
+  cells.reserve(fp.vault_count());
   for (std::size_t vy = 0; vy < fp.vaults_y; ++vy) {
-    for (std::size_t vx = 0; vx < fp.vaults_x; ++vx) {
-      const std::size_t center = fp.vault_center_cell(vx, vy);
-      const auto cx = static_cast<int>(center % fp.grid.nx);
-      const auto cy = static_cast<int>(center / fp.grid.nx);
-      // The (2r+1)^2 block clipped to the die.
-      std::vector<std::size_t>& cells = blocks.emplace_back();
-      for (int dy = -radius; dy <= radius; ++dy) {
-        for (int dx = -radius; dx <= radius; ++dx) {
-          const int x = cx + dx, y = cy + dy;
-          if (x < 0 || y < 0 || x >= static_cast<int>(fp.grid.nx) ||
-              y >= static_cast<int>(fp.grid.ny)) {
-            continue;
-          }
-          cells.push_back(fp.grid.index(static_cast<std::size_t>(x), static_cast<std::size_t>(y)));
-        }
-      }
-    }
+    for (std::size_t vx = 0; vx < fp.vaults_x; ++vx) cells.push_back(fp.vault_center_cell(vx, vy));
   }
-  return blocks;
+  return cells;
 }
 
-PowerMap vault_centered_power(const Floorplan& fp, double total_watts, int spread_cells) {
-  const auto blocks = vault_blocks(fp, spread_cells);
+PowerMap vault_centered_power(const Floorplan& fp, double total_watts) {
   PowerMap map{fp.grid};
   const double per_vault = total_watts / static_cast<double>(fp.vault_count());
-  for (const auto& cells : blocks) {
-    for (const auto c : cells) map.add(c, per_vault / static_cast<double>(cells.size()));
-  }
-  return map;
-}
-
-PowerMap edge_power(const Floorplan& fp, double total_watts) {
-  PowerMap map{fp.grid};
-  std::vector<std::size_t> edge;
-  for (std::size_t y = 0; y < fp.grid.ny; ++y) {
-    for (std::size_t x = 0; x < fp.grid.nx; ++x) {
-      if (x == 0 || y == 0 || x == fp.grid.nx - 1 || y == fp.grid.ny - 1) {
-        edge.push_back(fp.grid.index(x, y));
-      }
-    }
-  }
-  COOLPIM_ASSERT(!edge.empty());
-  for (const auto c : edge) map.add(c, total_watts / static_cast<double>(edge.size()));
+  for (const std::size_t c : vault_center_cells(fp)) map.add(c, per_vault);
   return map;
 }
 

@@ -78,20 +78,11 @@ class PowerMap {
 /// Spread `total_watts` uniformly over the die.
 [[nodiscard]] PowerMap uniform_power(const Floorplan& fp, double total_watts);
 
-/// The cells that share each vault's power at `spread_cells` (1 = the vault
-/// center alone, 2 = its 3x3 block, ...), clipped to the die: one list per
-/// vault, vaults row-major.  vault_centered_power() spreads over these.
-[[nodiscard]] std::vector<std::vector<std::size_t>> vault_blocks(const Floorplan& fp,
-                                                                 int spread_cells);
+/// Every vault's center cell, vaults row-major.
+[[nodiscard]] std::vector<std::size_t> vault_center_cells(const Floorplan& fp);
 
-/// Concentrate `total_watts` equally at every vault center; `spread_cells`
-/// controls how many neighbouring cells share each vault's power (1 = single
-/// cell, 2 = 3x3 block, ...).  Vault controllers + PIM FUs produce exactly
-/// this pattern on the logic die.
-[[nodiscard]] PowerMap vault_centered_power(const Floorplan& fp, double total_watts,
-                                            int spread_cells = 1);
-
-/// Power along the die perimeter (SerDes/link PHYs sit at the die edge).
-[[nodiscard]] PowerMap edge_power(const Floorplan& fp, double total_watts);
+/// Concentrate `total_watts` equally at every vault center.  Vault
+/// controllers + PIM FUs produce exactly this pattern on the logic die.
+[[nodiscard]] PowerMap vault_centered_power(const Floorplan& fp, double total_watts);
 
 }  // namespace coolpim::thermal

@@ -64,15 +64,8 @@ StackSpec build_stack_spec(const HmcThermalConfig& cfg) {
   return spec;
 }
 
-/// A spatial power pattern: its kind and, for vault-centred power, the
-/// spread radius in cells.
-enum class PatternKind { kLogicUniform, kVaultCentred, kDramUniform, kSink };
-
-struct Pattern {
-  PatternKind kind;
-  int spread_cells{0};
-  bool operator==(const Pattern&) const = default;
-};
+/// A spatial power pattern.
+enum class Pattern { kLogicUniform, kVaultCentred, kDramUniform, kSink };
 
 struct PatternPower {
   Pattern pattern;
@@ -88,12 +81,11 @@ constexpr std::size_t kPowerSources = 5;
 /// dies; a co-packaged component heats the sink node.
 std::array<PatternPower, kPowerSources> power_layout(const HmcThermalConfig& cfg,
                                                      const power::PowerBreakdown& power) {
-  return {{{{PatternKind::kLogicUniform}, power.logic_background.value()},
-           {{PatternKind::kVaultCentred, cfg.vault_spread_cells}, power.logic_dynamic.value()},
-           {{PatternKind::kVaultCentred, 1}, power.fu.value()},
-           {{PatternKind::kDramUniform},
-            power.dram_dynamic.value() + power.dram_background.value()},
-           {{PatternKind::kSink}, cfg.co_heater_watts}}};
+  return {{{Pattern::kLogicUniform, power.logic_background.value()},
+           {Pattern::kVaultCentred, power.logic_dynamic.value()},
+           {Pattern::kVaultCentred, power.fu.value()},
+           {Pattern::kDramUniform, power.dram_dynamic.value() + power.dram_background.value()},
+           {Pattern::kSink, cfg.co_heater_watts}}};
 }
 
 /// row += uniform_power(fp, watts) as a row of cells.  PowerMap adds
@@ -104,16 +96,14 @@ void add_uniform(std::span<double> row, double watts) {
   for (double& w : row) w += per_cell;
 }
 
-/// row += vault_centered_power(fp, watts, spread) over `blocks`: built in
+/// row += vault_centered_power(fp, watts) over the vault `centres`: built in
 /// the zeroed `pattern` row and then added, as PowerMap does, so the sums
-/// keep their association where blocks overlap.
+/// keep their association where two vaults share a center cell.
 void add_vault_centred(std::span<double> row, std::span<double> pattern,
-                       const std::vector<std::vector<std::size_t>>& blocks, double watts) {
+                       std::span<const std::size_t> centres, double watts) {
   std::fill(pattern.begin(), pattern.end(), 0.0);
-  const double per_vault = watts / static_cast<double>(blocks.size());
-  for (const auto& cells : blocks) {
-    for (const std::size_t c : cells) pattern[c] += per_vault / static_cast<double>(cells.size());
-  }
+  const double per_vault = watts / static_cast<double>(centres.size());
+  for (const std::size_t c : centres) pattern[c] += per_vault;
   for (std::size_t i = 0; i < row.size(); ++i) row[i] += pattern[i];
 }
 
@@ -128,21 +118,17 @@ void set_layout_power(StackModel& stack, std::span<const PatternPower> layout,
   std::fill(rows.logic_w.begin(), rows.logic_w.end(), 0.0);
   std::fill(rows.dram_w.begin(), rows.dram_w.end(), 0.0);
   for (const auto& [pattern, watts] : layout) {
-    switch (pattern.kind) {
-      case PatternKind::kLogicUniform:
+    switch (pattern) {
+      case Pattern::kLogicUniform:
         add_uniform(rows.logic_w, watts);
         break;
-      case PatternKind::kVaultCentred:
-        COOLPIM_ASSERT(pattern.spread_cells == rows.spread_cells || pattern.spread_cells == 1);
-        add_vault_centred(rows.logic_w, rows.pattern_w,
-                          pattern.spread_cells == rows.spread_cells ? rows.spread_blocks
-                                                                    : rows.centre_blocks,
-                          watts);
+      case Pattern::kVaultCentred:
+        add_vault_centred(rows.logic_w, rows.pattern_w, rows.centre_cells, watts);
         break;
-      case PatternKind::kDramUniform:
+      case Pattern::kDramUniform:
         add_uniform(rows.dram_w, watts / static_cast<double>(dram_dies));
         break;
-      case PatternKind::kSink:
+      case Pattern::kSink:
         break;
     }
   }
@@ -150,13 +136,13 @@ void set_layout_power(StackModel& stack, std::span<const PatternPower> layout,
   for (std::size_t l = 1; l <= dram_dies; ++l) stack.set_layer_power(l, rows.dram_w);
 }
 
-/// The distinct patterns superposition needs for `cfg`, in layout order: at
-/// the default spread of 1 logic dynamic and FU share one, and the sink's is
-/// needed only when the config has a co-heater.
+/// The distinct patterns superposition needs for `cfg`, in layout order:
+/// logic dynamic and FU share one, and the sink's is needed only when the
+/// config has a co-heater.
 std::vector<Pattern> response_patterns(const HmcThermalConfig& cfg) {
   std::vector<Pattern> patterns;
   for (const auto& [p, watts] : power_layout(cfg, power::PowerBreakdown{})) {
-    if (p.kind == PatternKind::kSink && cfg.co_heater_watts <= 0.0) continue;
+    if (p == Pattern::kSink && cfg.co_heater_watts <= 0.0) continue;
     if (std::find(patterns.begin(), patterns.end(), p) == patterns.end()) patterns.push_back(p);
   }
   return patterns;
@@ -166,9 +152,8 @@ std::vector<Pattern> response_patterns(const HmcThermalConfig& cfg) {
 /// Heat capacities, ambient and co-heater watts of `spec` do not matter.
 UnitResponse solve_unit_response(StackSpec spec, Pattern pattern) {
   spec.ambient = Celsius::from_kelvin(0.0);
-  spec.co_heater_watts = pattern.kind == PatternKind::kSink ? 1.0 : 0.0;
-  // Only vault-centred patterns carry a spread; the others hold 0.
-  detail::LayoutRows rows{spec.floorplan, std::max(pattern.spread_cells, 1)};
+  spec.co_heater_watts = pattern == Pattern::kSink ? 1.0 : 0.0;
+  detail::LayoutRows rows{spec.floorplan};
   StackModel stack{std::move(spec)};
   const PatternPower unit{pattern, 1.0};
   set_layout_power(stack, std::span<const PatternPower>{&unit, 1}, rows);
@@ -183,7 +168,7 @@ UnitResponse solve_unit_response(StackSpec spec, Pattern pattern) {
 /// Process-wide unit responses.  The key holds every StackSpec field the
 /// steady state depends on -- the floorplan, each layer's thickness,
 /// conductivity and interface resistance, and the TIM, sink and board
-/// resistances -- plus the pattern (vault_spread_cells enters there).
+/// resistances -- plus the pattern.
 /// Ambient and co-heater watts are coefficients, and heat capacities do not
 /// enter the steady state, so none of them is a key field; responses are
 /// therefore bit-identical whichever run fills them.  The mutex is held
@@ -223,8 +208,7 @@ class ResponseCache {
           spec.tim_r,
           spec.sink_r.value(),
           spec.board_r,
-          static_cast<double>(pattern.kind),
-          static_cast<double>(pattern.spread_cells),
+          static_cast<double>(pattern),
           static_cast<double>(spec.layers.size())};
     for (const LayerSpec& l : spec.layers) {
       k.insert(k.end(), {l.thickness_m, l.conductivity, l.interface_r_above});
@@ -252,20 +236,18 @@ std::vector<UnitResponse> solve_unit_responses(const HmcThermalConfig& cfg) {
 
 namespace detail {
 
-LayoutRows::LayoutRows(const Floorplan& fp, int vault_spread_cells)
+LayoutRows::LayoutRows(const Floorplan& fp)
     : logic_w(fp.grid.cells()),
       dram_w(fp.grid.cells()),
       pattern_w(fp.grid.cells()),
-      spread_cells{vault_spread_cells},
-      spread_blocks{vault_blocks(fp, vault_spread_cells)},
-      centre_blocks{vault_blocks(fp, 1)} {}
+      centre_cells{vault_center_cells(fp)} {}
 
 }  // namespace detail
 
 HmcThermalModel::HmcThermalModel(HmcThermalConfig cfg)
     : cfg_{std::move(cfg)},
       stack_{build_stack_spec(cfg_)},
-      rows_{cfg_.floorplan, cfg_.vault_spread_cells} {
+      rows_{cfg_.floorplan} {
   COOLPIM_REQUIRE(cfg_.dram_dies >= 1, "HMC needs at least one DRAM die");
 }
 
@@ -288,7 +270,7 @@ void HmcThermalModel::solve_steady() {
     steady_k_.assign(stack_.node_count(), 0.0);
   }
 
-  // Sources sharing a pattern (logic dynamic and FU at spread 1) add up.
+  // Sources sharing a pattern (logic dynamic and FU) add up.
   std::array<double, kPowerSources> coef{};
   for (std::size_t s = 0; s < kPowerSources; ++s) {
     if (source_response_[s] != kNoResponse) coef[source_response_[s]] += layout[s].watts;
@@ -365,12 +347,6 @@ Celsius HmcThermalModel::peak_dram() const {
 }
 
 Celsius HmcThermalModel::peak_logic() const { return stack_.layer_peak(0); }
-
-Celsius HmcThermalModel::mean_dram() const {
-  double acc = 0.0;
-  for (std::size_t l = 1; l <= cfg_.dram_dies; ++l) acc += stack_.layer_mean(l).value();
-  return Celsius{acc / static_cast<double>(cfg_.dram_dies)};
-}
 
 Celsius HmcThermalModel::estimate_die_from_surface(Celsius surface, Watts power) {
   // Paper Section III-A: in-package junction runs ~5-10 C above the package

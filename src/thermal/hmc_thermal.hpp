@@ -6,8 +6,8 @@
 // (vault controllers + FUs -- the paper's Fig. 3 hotspot pattern), and DRAM
 // power spreads uniformly over the eight DRAM dies.
 //
-// Free parameters (interface resistance, TIM, spread radius) are fixed by
-// the calibration anchors in DESIGN.md section 6; tests/thermal assert them.
+// Free parameters (interface resistance, TIM) are fixed by the calibration
+// anchors in DESIGN.md section 6; tests/thermal assert them.
 //
 // Every power source heats one fixed spatial pattern and the RC network is
 // linear in power, so the steady field is ambient plus each source's watts
@@ -40,8 +40,6 @@ struct HmcThermalConfig {
   double interface_r{4.5e-6};
   /// TIM resistance top die -> sink, m^2*K/W (calibrated).
   double tim_r{5.0e-6};
-  /// Vault-center power spread radius in cells (1 = single cell).
-  int vault_spread_cells{1};
   /// Transient-response calibration: scales the die heat capacity so the
   /// stack's thermal time constant matches the ~1 ms response the paper's
   /// KitFox/3D-ICE setup exhibits (Fig. 8, T_thermal).  Physically this
@@ -72,29 +70,25 @@ struct UnitResponse {
 };
 
 /// The distinct unit responses HmcThermalModel::solve_steady() superposes for
-/// `cfg`: uniform logic background, vault-centred logic dynamic (at
-/// vault_spread_cells), vault-centred FU (the same shape at spread 1),
-/// uniform DRAM over every DRAM die, and the sink co-heater when
-/// co_heater_watts > 0.  Solved by SOR from zero rise to 1e-9 K/W, without
-/// reading or filling the process-wide cache, so benches can time the
-/// one-time build.
+/// `cfg`: uniform logic background, vault centres (logic dynamic and FU
+/// power share the pattern), uniform DRAM over every DRAM die, and the sink
+/// co-heater when co_heater_watts > 0.  Solved by SOR from zero rise to
+/// 1e-9 K/W, without reading or filling the process-wide cache, so benches
+/// can time the one-time build.
 [[nodiscard]] std::vector<UnitResponse> solve_unit_responses(const HmcThermalConfig& cfg);
 
 namespace detail {
 
 /// apply_power()'s working set, built once so painting a power layout onto
 /// the stack allocates nothing: the logic and DRAM layer rows, one row for
-/// the pattern being built, and each vault's cells at the two spreads a
-/// layout uses (vault_spread_cells for logic dynamic power, 1 for the FUs).
+/// the pattern being built, and every vault's center cell.
 struct LayoutRows {
-  LayoutRows(const Floorplan& fp, int vault_spread_cells);
+  explicit LayoutRows(const Floorplan& fp);
 
   std::vector<double> logic_w;
   std::vector<double> dram_w;
   std::vector<double> pattern_w;
-  int spread_cells;
-  std::vector<std::vector<std::size_t>> spread_blocks;  // at spread_cells
-  std::vector<std::vector<std::size_t>> centre_blocks;  // at spread 1
+  std::vector<std::size_t> centre_cells;
 };
 
 }  // namespace detail
@@ -130,7 +124,6 @@ class HmcThermalModel {
 
   [[nodiscard]] Celsius peak_dram() const;
   [[nodiscard]] Celsius peak_logic() const;
-  [[nodiscard]] Celsius mean_dram() const;
   [[nodiscard]] Celsius surface() const { return stack_.surface_temp(); }
   /// Junction (die) estimate from a surface reading using the paper's rule of
   /// thumb: 5-10 C above surface per ~20 W dissipated.
@@ -138,7 +131,8 @@ class HmcThermalModel {
 
   [[nodiscard]] const StackModel& stack() const { return stack_; }
   /// Mutable stack access for benches/tests that drive the solver kernels
-  /// directly (e.g. bench/perf_thermal.cpp timing step_reference()).
+  /// directly (e.g. bench/perf_thermal.cpp timing step() against the
+  /// reference sweep).
   [[nodiscard]] StackModel& stack() { return stack_; }
   [[nodiscard]] const HmcThermalConfig& config() const { return cfg_; }
   /// Logic-layer temperature field (for heat maps, paper Fig. 3).

@@ -1,6 +1,7 @@
 #include "thermal/stack_model.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.hpp"
@@ -53,131 +54,70 @@ StackSpec hbm_stack_spec(std::size_t dram_dies, std::size_t grid_nx, std::size_t
   return spec;
 }
 
-StackNetwork StackNetwork::build(const StackSpec& spec) {
-  const auto& fp = spec.floorplan;
-  const std::size_t nx = fp.grid.nx;
-  const std::size_t ny = fp.grid.ny;
-  const double cw = fp.cell_width_m();
-  const double ch = fp.cell_height_m();
-  const double area = fp.cell_area_m2();
-  const std::size_t n_layers = spec.layers.size();
+namespace {
 
-  StackNetwork net;
-  net.n_cells = fp.grid.cells();
-  net.n_nodes = net.n_cells * n_layers;
-  const std::size_t n_cells = net.n_cells;
-  const std::size_t n_nodes = net.n_nodes;
-  const auto node = [n_cells](std::size_t layer, std::size_t cell) {
-    return layer * n_cells + cell;
-  };
+/// Cells [begin, end) of a layer whose north and south links are uniform.
+struct RowBand {
+  std::ptrdiff_t begin, end;
+  double g_n, g_s;
+};
 
-  net.g_east.assign(n_nodes, 0.0);
-  net.g_west.assign(n_nodes, 0.0);
-  net.g_north.assign(n_nodes, 0.0);
-  net.g_south.assign(n_nodes, 0.0);
-  net.g_up.assign(n_nodes, 0.0);
-  net.g_down.assign(n_nodes, 0.0);
-  net.g_sink.assign(n_nodes, 0.0);
-  net.g_board.assign(n_nodes, 0.0);
-  net.g_diag.assign(n_nodes, 0.0);
-  net.cap.assign(n_nodes, 0.0);
-
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    const auto& layer = spec.layers[l];
-    const double t = layer.thickness_m;
-    const double k = layer.conductivity;
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        const std::size_t nidx = node(l, fp.grid.index(x, y));
-        net.cap[nidx] = layer.volumetric_heat_capacity * area * t;
-        // Lateral conduction through the die cross-section.
-        if (x + 1 < nx) net.g_east[nidx] = k * t * ch / cw;
-        if (y + 1 < ny) net.g_north[nidx] = k * t * cw / ch;
-        // Vertical conduction: half-die + interface + half-die above.
-        if (l + 1 < n_layers) {
-          const auto& above = spec.layers[l + 1];
-          const double r = t / (2.0 * k) + layer.interface_r_above +
-                           above.thickness_m / (2.0 * above.conductivity);
-          net.g_up[nidx] = area / r;
-        } else {
-          // Top layer couples to the lumped sink node through half-die + TIM.
-          const double r = t / (2.0 * k) + spec.tim_r;
-          net.g_sink[nidx] = area / r;
-        }
-        if (l == 0) {
-          // Bottom layer leaks into the board: bulk resistance shared by all
-          // bottom cells.
-          net.g_board[nidx] = 1.0 / (spec.board_r * static_cast<double>(n_cells));
-        }
-      }
-    }
-  }
-
-  // Mirrored neighbour views: a node's west/south/down conductance is the
-  // owning (west/south/lower) neighbour's east/north/up entry, zero at the
-  // boundary.  These make the sweeps branch-free.
-  for (std::size_t l = 0; l < n_layers; ++l) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        const std::size_t nidx = node(l, fp.grid.index(x, y));
-        if (x > 0) net.g_west[nidx] = net.g_east[nidx - 1];
-        if (y > 0) net.g_south[nidx] = net.g_north[nidx - nx];
-        if (l > 0) net.g_down[nidx] = net.g_up[nidx - n_cells];
-      }
-    }
-  }
-
-  // Offset-padded copies for the transient sweep: with nc leading zeros, a
-  // node's west/south/down conductance is the same array read at i-1 / i-nx /
-  // i-nc (row-end east, column-end north and top-layer up entries are zero,
-  // so the wrapped reads land on exact zeros -- the mirror arrays above hold
-  // the same values).  Reading one array at two offsets instead of two
-  // arrays halves the conductance cache traffic of the hot loop.
-  const auto pad = [&](const std::vector<double>& src, std::vector<double>& dst) {
-    dst.assign(n_cells + n_nodes, 0.0);
-    std::copy(src.begin(), src.end(), dst.begin() + static_cast<std::ptrdiff_t>(n_cells));
-  };
-  pad(net.g_east, net.g_east_pad);
-  pad(net.g_north, net.g_north_pad);
-  pad(net.g_up, net.g_up_pad);
-
-  // Accumulate per-node incident conductance for diag / stability.
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    net.g_diag[i] = net.g_up[i] + net.g_sink[i] + net.g_board[i] + net.g_east[i] +
-                    net.g_west[i] + net.g_north[i] + net.g_south[i] + net.g_down[i];
-  }
-
-  net.g_sink_ambient = 1.0 / spec.sink_r.value();
-  net.sink_g_total = net.g_sink_ambient;
-  for (const auto g : net.g_sink) net.sink_g_total += g;
-
-  // Stable explicit-Euler step: dt < min_i C_i / G_i (with safety margin).
-  double dt_min = spec.sink_heat_capacity / net.sink_g_total;
-  for (std::size_t i = 0; i < n_nodes; ++i) {
-    dt_min = std::min(dt_min, net.cap[i] / net.g_diag[i]);
-  }
-  net.stable_dt = Time::sec(0.5 * dt_min);
-  COOLPIM_ASSERT(net.stable_dt > Time::zero());
-  return net;
+/// A layer's row bands in cell order: the first row (no south link), the
+/// interior rows and the last row (no north link).  A one-row grid is one
+/// band followed by two empty ones; two rows leave the interior band empty.
+std::array<RowBand, 3> row_bands(std::ptrdiff_t nx, std::ptrdiff_t nc, double g_y) {
+  if (nx == nc) return {{{0, nc, 0.0, 0.0}, {nc, nc, 0.0, 0.0}, {nc, nc, 0.0, 0.0}}};
+  return {{{0, nx, g_y, 0.0}, {nx, nc - nx, g_y, g_y}, {nc - nx, nc, 0.0, g_y}}};
 }
 
-std::size_t StackNetwork::substeps_for(Time dt) const {
-  COOLPIM_REQUIRE(dt > Time::zero(), "transient step must be positive");
-  const double n = std::ceil(dt.as_sec() / stable_dt.as_sec());
-  // Fail loudly on the tall-stack/fine-grid collapse: an explicit step that
-  // needs millions of substeps is a hang masquerading as progress.  The ADI
-  // kernel is unconditionally stable and exists for exactly this regime.
-  COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
-                  "explicit transient step needs " + std::to_string(n) +
-                      " substeps (> kMaxTransientSubsteps); stable dt has collapsed -- "
-                      "shorten the step or use the ADI kernel (StackModel::step_adi)");
-  return static_cast<std::size_t>(n);
+/// One node's heat capacity and incident conductances, zero where a link
+/// does not exist.
+struct NodeStencil {
+  double cap, g_e, g_w, g_n, g_s, g_up, g_down, g_sink, g_board;
+
+  /// Sum of the incident conductances, always in this order:
+  /// solve_steady() divides by it and stable_step() is derived from it.
+  [[nodiscard]] double diag() const {
+    return g_up + g_sink + g_board + g_e + g_w + g_n + g_s + g_down;
+  }
+};
+
+}  // namespace
+
+template <typename Visit>
+void StackModel::for_each_node(Visit&& visit) const {
+  const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.nx);
+  const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
+  const double* ge = g_east_.data() + nc;  // ge[i-1] is the west link
+  const std::size_t n_layers = layers_.size();
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const Layer& layer = layers_[l];
+    const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(l) * nc;
+    NodeStencil s{};
+    s.cap = layer.cap;
+    s.g_up = layer.g_up;
+    s.g_down = l > 0 ? layers_[l - 1].g_up : 0.0;
+    s.g_sink = l + 1 == n_layers ? g_sink_ : 0.0;
+    s.g_board = l == 0 ? g_board_ : 0.0;
+    for (const RowBand& band : row_bands(nx, nc, layer.g_y)) {
+      s.g_n = band.g_n;
+      s.g_s = band.g_s;
+      for (std::ptrdiff_t i = base + band.begin; i < base + band.end; ++i) {
+        s.g_e = ge[i];
+        s.g_w = ge[i - 1];
+        visit(i, s);
+      }
+    }
+  }
 }
 
 StackModel::StackModel(StackSpec spec) : spec_{std::move(spec)} {
   spec_.validate();
-  n_cells_ = spec_.floorplan.grid.cells();
-  n_nodes_ = n_cells_ * spec_.layers.size();
+  const Floorplan& fp = spec_.floorplan;
+  const std::size_t nx = fp.grid.nx;
+  const std::size_t n_layers = spec_.layers.size();
+  n_cells_ = fp.grid.cells();
+  n_nodes_ = n_cells_ * n_layers;
   // Ghost-padded field: one layer-sized block of ambient cells before and
   // after the live nodes, so neighbour reads at +/-1, +/-nx and +/-n_cells
   // stay in-bounds at every boundary.
@@ -185,20 +125,61 @@ StackModel::StackModel(StackSpec spec) : spec_{std::move(spec)} {
   scratch_.assign(n_nodes_ + 2 * n_cells_, spec_.ambient.as_kelvin());
   sink_temp_k_ = spec_.ambient.as_kelvin();
   power_w_.assign(n_nodes_, 0.0);
-  stats_.resize(spec_.layers.size());
-  net_ = StackNetwork::build(spec_);
+  stats_.resize(n_layers);
 
-  const std::size_t n_layers = spec_.layers.size();
-  const auto& grid = spec_.floorplan.grid;
-  adi_.cp_x.assign(n_layers * grid.nx, 0.0);
-  adi_.inv_x.assign(n_layers * grid.nx, 0.0);
-  adi_.cp_y.assign(n_layers * grid.ny, 0.0);
-  adi_.inv_y.assign(n_layers * grid.ny, 0.0);
+  // The RC network, one record per layer.
+  const double cw = fp.cell_width_m();
+  const double ch = fp.cell_height_m();
+  const double area = fp.cell_area_m2();
+  layers_.resize(n_layers);
+  for (std::size_t l = 0; l < n_layers; ++l) {
+    const LayerSpec& ls = spec_.layers[l];
+    const double t = ls.thickness_m;
+    const double k = ls.conductivity;
+    Layer& layer = layers_[l];
+    layer.cap = ls.volumetric_heat_capacity * area * t;
+    // Lateral conduction through the die cross-section.
+    layer.g_x = nx > 1 ? k * t * ch / cw : 0.0;
+    layer.g_y = fp.grid.ny > 1 ? k * t * cw / ch : 0.0;
+    if (l + 1 < n_layers) {
+      // Vertical conduction: half-die + interface + half-die above.
+      const LayerSpec& above = spec_.layers[l + 1];
+      const double r = t / (2.0 * k) + ls.interface_r_above +
+                       above.thickness_m / (2.0 * above.conductivity);
+      layer.g_up = area / r;
+    } else {
+      // The top layer couples to the lumped sink node through half-die + TIM.
+      layer.g_up = 0.0;
+      g_sink_ = area / (t / (2.0 * k) + spec_.tim_r);
+    }
+  }
+  // The bottom layer leaks into the board: a bulk resistance shared by all
+  // bottom cells.
+  g_board_ = 1.0 / (spec_.board_r * static_cast<double>(n_cells_));
+  g_sink_ambient_ = 1.0 / spec_.sink_r.value();
+  sink_g_total_ = g_sink_ambient_;
+  for (std::size_t c = 0; c < n_cells_; ++c) sink_g_total_ += g_sink_;
+
+  g_east_.assign(n_cells_ + n_nodes_, 0.0);
+  for (std::size_t i = 0; i < n_nodes_; ++i) {
+    if (i % nx + 1 < nx) g_east_[n_cells_ + i] = layers_[i / n_cells_].g_x;
+  }
+
+  // Stable explicit-Euler step: dt < min_i C_i / G_i (with safety margin).
+  double dt_min = spec_.sink_heat_capacity / sink_g_total_;
+  for_each_node([&](std::ptrdiff_t, const NodeStencil& s) {
+    dt_min = std::min(dt_min, s.cap / s.diag());
+  });
+  stable_dt_ = Time::sec(0.5 * dt_min);
+  COOLPIM_ASSERT(stable_dt_ > Time::zero());
+
+  adi_.cp_x.assign(n_layers * nx, 0.0);
+  adi_.inv_x.assign(n_layers * nx, 0.0);
+  adi_.cp_y.assign(n_layers * fp.grid.ny, 0.0);
+  adi_.inv_y.assign(n_layers * fp.grid.ny, 0.0);
   adi_.cp_z.assign(n_layers, 0.0);
   adi_.inv_z.assign(n_layers, 0.0);
   adi_.rc.assign(n_layers, 0.0);
-  adi_.gx.assign(n_layers, 0.0);
-  adi_.gy.assign(n_layers, 0.0);
   adi_.gu.assign(n_layers, 0.0);
 }
 
@@ -213,15 +194,12 @@ void StackModel::set_layer_power(std::size_t layer, std::span<const double> watt
             power_w_.begin() + static_cast<std::ptrdiff_t>(node(layer, 0)));
 }
 
-void StackModel::clear_power() { std::fill(power_w_.begin(), power_w_.end(), 0.0); }
-
 std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
                                      SteadyStart start) {
   if (start == SteadyStart::kCold) reset_to_ambient();
 
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.nx);
   const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(n_nodes_);
   const std::size_t n_layers = spec_.layers.size();
   const double ambient_k = spec_.ambient.as_kelvin();
   const double omega = 1.85;  // SOR over-relaxation
@@ -233,38 +211,37 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
 
     // Sink node first (Gauss-Seidel: uses the freshest neighbour values).
     {
-      double num = net_.g_sink_ambient * ambient_k + spec_.co_heater_watts;
+      double num = g_sink_ambient_ * ambient_k + spec_.co_heater_watts;
       const double* top = T + static_cast<std::ptrdiff_t>((n_layers - 1) * n_cells_);
-      const double* gs = net_.g_sink.data() + static_cast<std::ptrdiff_t>((n_layers - 1) * n_cells_);
       for (std::ptrdiff_t c = 0; c < nc; ++c) {
-        num += gs[c] * top[c];
+        num += g_sink_ * top[c];
       }
-      const double t_new = num / net_.sink_g_total;
+      const double t_new = num / sink_g_total_;
       max_delta = std::max(max_delta, std::abs(t_new - sink_temp_k_));
       sink_temp_k_ = t_new;
     }
 
     // Branch-free SOR sweep: boundary directions carry a zero conductance,
-    // so their ghost reads contribute an exact +0.0 (same bits as the old
-    // guarded loop that skipped them).
-    for (std::ptrdiff_t i = 0; i < n; ++i) {
+    // so their ghost reads contribute an exact +0.0 (same bits as a guarded
+    // loop that skipped them).
+    for_each_node([&](std::ptrdiff_t i, const NodeStencil& s) {
       const double* Ti = T + i;
       double num = power_w_[static_cast<std::size_t>(i)];
-      num += net_.g_east[static_cast<std::size_t>(i)] * Ti[1];
-      num += net_.g_west[static_cast<std::size_t>(i)] * Ti[-1];
-      num += net_.g_north[static_cast<std::size_t>(i)] * Ti[nx];
-      num += net_.g_south[static_cast<std::size_t>(i)] * Ti[-nx];
-      num += net_.g_up[static_cast<std::size_t>(i)] * Ti[nc];
-      num += net_.g_down[static_cast<std::size_t>(i)] * Ti[-nc];
-      num += net_.g_sink[static_cast<std::size_t>(i)] * sink_temp_k_;
-      num += net_.g_board[static_cast<std::size_t>(i)] * ambient_k;
+      num += s.g_e * Ti[1];
+      num += s.g_w * Ti[-1];
+      num += s.g_n * Ti[nx];
+      num += s.g_s * Ti[-nx];
+      num += s.g_up * Ti[nc];
+      num += s.g_down * Ti[-nc];
+      num += s.g_sink * sink_temp_k_;
+      num += s.g_board * ambient_k;
 
       const double t_old = *Ti;
-      const double t_gs = num / net_.g_diag[static_cast<std::size_t>(i)];
+      const double t_gs = num / s.diag();
       const double t_new = t_old + omega * (t_gs - t_old);
       max_delta = std::max(max_delta, std::abs(t_new - t_old));
       T[i] = t_new;
-    }
+    });
 
     if (max_delta < tolerance_k) break;
   }
@@ -273,7 +250,18 @@ std::size_t StackModel::solve_steady(double tolerance_k, std::size_t max_iters,
   return iter + 1;
 }
 
-std::size_t StackModel::substeps_for(Time dt) const { return net_.substeps_for(dt); }
+std::size_t StackModel::substeps_for(Time dt) const {
+  COOLPIM_REQUIRE(dt > Time::zero(), "transient step must be positive");
+  const double n = std::ceil(dt.as_sec() / stable_dt_.as_sec());
+  // Fail loudly on the tall-stack/fine-grid collapse: an explicit step that
+  // needs millions of substeps is a hang masquerading as progress.  The ADI
+  // kernel is unconditionally stable and exists for exactly this regime.
+  COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
+                  "explicit transient step needs " + std::to_string(n) +
+                      " substeps (> kMaxTransientSubsteps); stable dt has collapsed -- "
+                      "shorten the step or use the ADI kernel (StackModel::step_adi)");
+  return static_cast<std::size_t>(n);
+}
 
 namespace {
 
@@ -281,11 +269,11 @@ namespace {
 // (common/target_clones.hpp): four double lanes, same IEEE mul/add/div
 // sequence per lane, so results are bit-identical to the default clone.
 
-/// One explicit-Euler substep over one layer below the top one: a pure
-/// elementwise map with no reduction, written as a free function with
-/// __restrict parameters so GCC's dependence analysis vectorizes it (the
+/// One explicit-Euler substep over one row band of a layer below the top
+/// one: a pure elementwise map with no reduction, written as a free function
+/// with __restrict parameters so GCC's dependence analysis vectorizes it (the
 /// qualifier is only reliably honoured on function parameters).  The sink
-/// term is omitted entirely: g_sink is zero below the top layer, and
+/// term is omitted entirely: no such link exists below the top layer, and
 /// skipping a `flow += 0 * (...)` is bit-exact because `flow` is never -0.0
 /// at that point (power is non-negative and a round-to-nearest sum of
 /// cancelling non-zeros yields +0.0), so adding the zero product could not
@@ -294,11 +282,9 @@ namespace {
 /// Vertical, board, capacitance and north/south conductances are uniform
 /// over a whole row band by construction (uniform cell geometry, per-layer
 /// material; the north/south links only vanish on the first/last row), so
-/// they arrive as broadcast scalars -- the exact values the table-driven
-/// reference loads per cell.  Only the east table remains an array: its
-/// row-edge zeros sit mid-span, and reading it at i and i-1 covers the
-/// west link too.  One layer is three contiguous spans: first row, interior
-/// rows, last row.
+/// they arrive as broadcast scalars.  Only the east table remains an array:
+/// its row-edge zeros sit mid-span, and reading it at i and i-1 covers the
+/// west link too.
 COOLPIM_STENCIL_CLONES
 void substep_span(const double* __restrict T, double* __restrict N,
                   const double* __restrict pw, const double* __restrict ge,
@@ -319,32 +305,32 @@ void substep_span(const double* __restrict T, double* __restrict N,
   }
 }
 
-/// Top-layer substep: same stencil plus the TIM coupling into the lumped
-/// sink node.  The scalar sink_flow reduction confines the only
-/// vectorization-hostile statement of the sweep to these n_cells nodes.
-/// Returns the accumulated heat flow into the sink.
+/// Top-layer substep over one row band: the same stencil without an up-link,
+/// plus the TIM coupling into the lumped sink node.  Leaving out the absent
+/// up-link's zero term cannot change N[i]: adding a zero changes at most the
+/// sign of a zero flow, and t + (+/-0.0) == t.  The scalar sink_flow
+/// reduction confines the only vectorization-hostile statement of the sweep
+/// to these n_cells nodes.  Returns the accumulated heat flow into the sink.
 COOLPIM_STENCIL_CLONES
 double substep_top(const double* __restrict T, double* __restrict N,
                    const double* __restrict pw, const double* __restrict ge,
-                   const double* __restrict gn, const double* __restrict gu,
-                   const double* __restrict gsk, const double* __restrict gb,
-                   const double* __restrict cap, std::ptrdiff_t nx, std::ptrdiff_t nc,
-                   std::ptrdiff_t top, std::ptrdiff_t n, double h, double ambient_k,
-                   double sink_t, double sink_flow) {
-  for (std::ptrdiff_t i = top; i < n; ++i) {
+                   std::ptrdiff_t begin, std::ptrdiff_t end, std::ptrdiff_t nx,
+                   std::ptrdiff_t nc, double g_n, double g_s, double g_down, double g_sink,
+                   double g_board, double cap, double h, double ambient_k, double sink_t,
+                   double sink_flow) {
+  for (std::ptrdiff_t i = begin; i < end; ++i) {
     const double t = T[i];
     double flow = pw[i];
     flow += ge[i] * (T[i + 1] - t);
     flow += ge[i - 1] * (T[i - 1] - t);
-    flow += gn[i] * (T[i + nx] - t);
-    flow += gn[i - nx] * (T[i - nx] - t);
-    flow += gu[i] * (T[i + nc] - t);
-    flow += gu[i - nc] * (T[i - nc] - t);
-    const double f = gsk[i] * (sink_t - t);
+    flow += g_n * (T[i + nx] - t);
+    flow += g_s * (T[i - nx] - t);
+    flow += g_down * (T[i - nc] - t);
+    const double f = g_sink * (sink_t - t);
     flow += f;
     sink_flow -= f;
-    flow += gb[i] * (ambient_k - t);
-    N[i] = t + h * flow / cap[i];
+    flow += g_board * (ambient_k - t);
+    N[i] = t + h * flow / cap;
   }
   return sink_flow;
 }
@@ -447,54 +433,37 @@ void StackModel::step(Time dt) {
   const double ambient_k = spec_.ambient.as_kelvin();
 
   const std::ptrdiff_t nx = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.nx);
-  const std::ptrdiff_t ny = static_cast<std::ptrdiff_t>(spec_.floorplan.grid.ny);
   const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
-  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(n_nodes_);
   const double* pw = power_w_.data();
-  const double* ge = net_.g_east_pad.data() + nc;  // ge[i-1] is the west link
-  const double* gn = net_.g_north_pad.data() + nc;
-  const double* gu = net_.g_up_pad.data() + nc;
-  const double* gsk = net_.g_sink.data();
-  const double* gb = net_.g_board.data();
-  const double* cap = net_.cap.data();
-  const std::ptrdiff_t top = n - nc;
-
-  const std::size_t n_layers = spec_.layers.size();
+  const double* ge = g_east_.data() + nc;  // ge[i-1] is the west link
+  const std::size_t n_layers = layers_.size();
 
   for (std::size_t s = 0; s < n_sub; ++s) {
     const double* T = temp_.data() + nc;
     double* N = scratch_.data() + nc;
     const double sink_t = sink_temp_k_;
-    double sink_flow = net_.g_sink_ambient * (ambient_k - sink_t) + spec_.co_heater_watts;
-    for (std::size_t l = 0; l + 1 < n_layers; ++l) {
+    double sink_flow = g_sink_ambient_ * (ambient_k - sink_t) + spec_.co_heater_watts;
+    for (std::size_t l = 0; l < n_layers; ++l) {
+      const Layer& layer = layers_[l];
       const std::ptrdiff_t base = static_cast<std::ptrdiff_t>(l) * nc;
-      // Per-layer uniform conductances, read once from the tables (cell 0
-      // has live north/up links whenever the grid extends that way).  The
-      // down-link of layer 0 is the zero pad: its ghost-temperature term
-      // contributes an exact +/-0.0, as in the fused table-driven sweep.
-      const double g_n_l = gn[base];
-      const double g_up_l = gu[base];
-      const double g_down_l = gu[base - nc];
-      const double g_board_l = gb[base];
-      const double cap_l = cap[base];
+      // Layer 0 has no down-link: its zero term reads the leading ghost
+      // block and contributes an exact +/-0.0.
+      const double g_down = l > 0 ? layers_[l - 1].g_up : 0.0;
+      const double g_board = l == 0 ? g_board_ : 0.0;
       const double* Tl = T + base;
       double* Nl = N + base;
       const double* pwl = pw + base;
       const double* gel = ge + base;
-      if (ny == 1) {
-        substep_span(Tl, Nl, pwl, gel, 0, nc, nx, nc, 0.0, 0.0, g_up_l, g_down_l, g_board_l,
-                     cap_l, h, ambient_k);
-      } else {
-        substep_span(Tl, Nl, pwl, gel, 0, nx, nx, nc, g_n_l, 0.0, g_up_l, g_down_l, g_board_l,
-                     cap_l, h, ambient_k);
-        substep_span(Tl, Nl, pwl, gel, nx, nc - nx, nx, nc, g_n_l, g_n_l, g_up_l, g_down_l,
-                     g_board_l, cap_l, h, ambient_k);
-        substep_span(Tl, Nl, pwl, gel, nc - nx, nc, nx, nc, 0.0, g_n_l, g_up_l, g_down_l,
-                     g_board_l, cap_l, h, ambient_k);
+      for (const RowBand& b : row_bands(nx, nc, layer.g_y)) {
+        if (l + 1 < n_layers) {
+          substep_span(Tl, Nl, pwl, gel, b.begin, b.end, nx, nc, b.g_n, b.g_s, layer.g_up,
+                       g_down, g_board, layer.cap, h, ambient_k);
+        } else {
+          sink_flow = substep_top(Tl, Nl, pwl, gel, b.begin, b.end, nx, nc, b.g_n, b.g_s, g_down,
+                                  g_sink_, g_board, layer.cap, h, ambient_k, sink_t, sink_flow);
+        }
       }
     }
-    sink_flow = substep_top(T, N, pw, ge, gn, gu, gsk, gb, cap, nx, nc, top, n, h, ambient_k,
-                            sink_t, sink_flow);
     sink_temp_k_ += h * sink_flow / spec_.sink_heat_capacity;
     temp_.swap(scratch_);
   }
@@ -505,13 +474,10 @@ void StackModel::refactor_adi(double h) {
   if (adi_.h == h) return;
   const std::size_t n_layers = spec_.layers.size();
   const auto& grid = spec_.floorplan.grid;
-  const std::size_t nc = n_cells_;
 
   for (std::size_t l = 0; l < n_layers; ++l) {
-    adi_.rc[l] = net_.cap[l * nc] / h;
-    adi_.gx[l] = grid.nx > 1 ? net_.g_east[l * nc] : 0.0;
-    adi_.gy[l] = grid.ny > 1 ? net_.g_north[l * nc] : 0.0;
-    adi_.gu[l] = net_.g_up[l * nc];  // zero at the top layer
+    adi_.rc[l] = layers_[l].cap / h;
+    adi_.gu[l] = layers_[l].g_up;  // zero at the top layer
   }
 
   // Uniform tridiagonal factorization: diag rc+g at the ends, rc+2g in the
@@ -530,36 +496,34 @@ void StackModel::refactor_adi(double h) {
     }
   };
   for (std::size_t l = 0; l < n_layers; ++l) {
-    factor_uniform(adi_.rc[l], adi_.gx[l], adi_.cp_x.data() + l * grid.nx,
+    factor_uniform(adi_.rc[l], layers_[l].g_x, adi_.cp_x.data() + l * grid.nx,
                    adi_.inv_x.data() + l * grid.nx, grid.nx);
-    factor_uniform(adi_.rc[l], adi_.gy[l], adi_.cp_y.data() + l * grid.ny,
+    factor_uniform(adi_.rc[l], layers_[l].g_y, adi_.cp_y.data() + l * grid.ny,
                    adi_.inv_y.data() + l * grid.ny, grid.ny);
   }
 
   // Vertical column: per-layer up/down links plus the board leak at layer 0
   // and the (lagged-sink) TIM coupling at the top layer.
-  const double g_board = net_.g_board[0];
-  const double g_sink = net_.g_sink[(n_layers - 1) * nc];
   double den = 0.0;
   for (std::size_t l = 0; l < n_layers; ++l) {
     const double gu_l = adi_.gu[l];
     const double gd_l = l > 0 ? adi_.gu[l - 1] : 0.0;
     double b = adi_.rc[l] + gu_l + gd_l;
-    if (l == 0) b += g_board;
-    if (l + 1 == n_layers) b += g_sink;
+    if (l == 0) b += g_board_;
+    if (l + 1 == n_layers) b += g_sink_;
     den = (l == 0) ? b : b + gd_l * adi_.cp_z[l - 1];  // b - a*cp with a = -gd
     adi_.inv_z[l] = 1.0 / den;
     adi_.cp_z[l] = -gu_l * adi_.inv_z[l];
   }
 
   adi_.sink_rc = spec_.sink_heat_capacity / h;
-  adi_.inv_sink_den = 1.0 / (adi_.sink_rc + net_.sink_g_total);
+  adi_.inv_sink_den = 1.0 / (adi_.sink_rc + sink_g_total_);
   adi_.h = h;
 }
 
 void StackModel::step_adi(Time dt) {
   COOLPIM_REQUIRE(dt > Time::zero(), "transient step must be positive");
-  const double n = std::ceil(dt.as_sec() / (net_.stable_dt.as_sec() * kAdiDtFactor));
+  const double n = std::ceil(dt.as_sec() / (stable_dt_.as_sec() * kAdiDtFactor));
   COOLPIM_REQUIRE(n <= static_cast<double>(kMaxTransientSubsteps),
                   "ADI transient step needs " + std::to_string(n) +
                       " substeps (> kMaxTransientSubsteps); split the step");
@@ -573,8 +537,6 @@ void StackModel::step_adi(Time dt) {
   const std::ptrdiff_t nc = static_cast<std::ptrdiff_t>(n_cells_);
   const std::size_t n_layers = spec_.layers.size();
   const double ambient_k = spec_.ambient.as_kelvin();
-  const double g_board = net_.g_board[0];
-  const double g_sink = net_.g_sink[(n_layers - 1) * n_cells_];
   double* T = field();
   double* S = scratch_.data() + nc;  // forward-sweep store, same offsets as T
 
@@ -584,69 +546,26 @@ void StackModel::step_adi(Time dt) {
       // x pass: implicit lateral diffusion along each row of the layer.
       if (nx > 1) {
         thomas_lines(T + base, S + base, adi_.cp_x.data() + l * grid.nx,
-                     adi_.inv_x.data() + l * grid.nx, adi_.gx[l], adi_.rc[l], nx, 1, ny, nx);
+                     adi_.inv_x.data() + l * grid.nx, layers_[l].g_x, adi_.rc[l], nx, 1, ny, nx);
       }
       // y pass: implicit lateral diffusion along each column of the layer.
       if (ny > 1) {
         thomas_lines(T + base, S + base, adi_.cp_y.data() + l * grid.ny,
-                     adi_.inv_y.data() + l * grid.ny, adi_.gy[l], adi_.rc[l], ny, nx, nx, 1);
+                     adi_.inv_y.data() + l * grid.ny, layers_[l].g_y, adi_.rc[l], ny, nx, nx, 1);
       }
     }
     // z pass: implicit vertical conduction carrying power, board leak and the
     // lagged-sink TIM coupling.
     thomas_columns(T, S, power_w_.data(), adi_.cp_z.data(), adi_.inv_z.data(), adi_.gu.data(),
-                   adi_.rc.data(), g_board, ambient_k, g_sink, sink_temp_k_,
+                   adi_.rc.data(), g_board_, ambient_k, g_sink_, sink_temp_k_,
                    static_cast<std::ptrdiff_t>(n_layers), nc);
     // Implicit sink update against the fresh top-layer field.
     const double* top = T + static_cast<std::ptrdiff_t>(n_layers - 1) * nc;
     double top_sum = 0.0;
     for (std::ptrdiff_t c = 0; c < nc; ++c) top_sum += top[c];
-    sink_temp_k_ = (adi_.sink_rc * sink_temp_k_ + net_.g_sink_ambient * ambient_k +
-                    spec_.co_heater_watts + g_sink * top_sum) *
+    sink_temp_k_ = (adi_.sink_rc * sink_temp_k_ + g_sink_ambient_ * ambient_k +
+                    spec_.co_heater_watts + g_sink_ * top_sum) *
                    adi_.inv_sink_den;
-  }
-  mark_temps_changed();
-}
-
-void StackModel::step_reference(Time dt) {
-  const double total = dt.as_sec();
-  const std::size_t n_sub = substeps_for(dt);
-  const double h = total / static_cast<double>(n_sub);
-
-  const auto& fp = spec_.floorplan;
-  const std::size_t nx = fp.grid.nx;
-  const std::size_t ny = fp.grid.ny;
-  const std::size_t n_layers = spec_.layers.size();
-  const double ambient_k = spec_.ambient.as_kelvin();
-  double* T = field();
-
-  std::vector<double> next(n_nodes_);
-  for (std::size_t s = 0; s < n_sub; ++s) {
-    double sink_flow = net_.g_sink_ambient * (ambient_k - sink_temp_k_) + spec_.co_heater_watts;
-    for (std::size_t l = 0; l < n_layers; ++l) {
-      for (std::size_t y = 0; y < ny; ++y) {
-        for (std::size_t x = 0; x < nx; ++x) {
-          const std::size_t nidx = node(l, fp.grid.index(x, y));
-          const double t = T[nidx];
-          double flow = power_w_[nidx];
-          if (x + 1 < nx) flow += net_.g_east[nidx] * (T[nidx + 1] - t);
-          if (x > 0) flow += net_.g_west[nidx] * (T[nidx - 1] - t);
-          if (y + 1 < ny) flow += net_.g_north[nidx] * (T[nidx + nx] - t);
-          if (y > 0) flow += net_.g_south[nidx] * (T[nidx - nx] - t);
-          if (l + 1 < n_layers) flow += net_.g_up[nidx] * (T[nidx + n_cells_] - t);
-          if (l > 0) flow += net_.g_down[nidx] * (T[nidx - n_cells_] - t);
-          if (net_.g_sink[nidx] > 0.0) {
-            const double f = net_.g_sink[nidx] * (sink_temp_k_ - t);
-            flow += f;
-            sink_flow -= f;
-          }
-          flow += net_.g_board[nidx] * (ambient_k - t);
-          next[nidx] = t + h * flow / net_.cap[nidx];
-        }
-      }
-    }
-    sink_temp_k_ += h * sink_flow / spec_.sink_heat_capacity;
-    std::copy(next.begin(), next.end(), T);
   }
   mark_temps_changed();
 }

@@ -24,16 +24,21 @@
 // with an automatically chosen stable sub-step (step), or via the
 // unconditionally stable ADI line solver for tall stacks (step_adi).
 //
-// Hot-path layout (docs/PERFORMANCE.md): the stencil is precomputed into
-// flat structure-of-arrays neighbour-conductance tables (one entry per node
-// and direction, zero at boundaries), and the temperature field is stored
-// with one layer of ghost cells on either end so every neighbour read is
-// in-bounds.  The transient sweep is branch-free -- boundary terms multiply
-// a ghost temperature by a zero conductance, which contributes an exact
-// (+/-)0.0 and leaves results bit-identical to the guarded reference sweep
-// retained as step_reference().  Per-layer peak/mean reductions are cached
-// and recomputed in a single pass over the field when the temperatures
-// change.
+// Hot-path layout (docs/PERFORMANCE.md section 1): cell geometry and
+// material are uniform within a layer, so the network is stored the way it
+// is built -- one record of heat capacity and link conductances per layer,
+// the board and sink couplings as scalars -- plus a single node-sized table,
+// the east link of every node (zero at row ends) after one layer of leading
+// zeros, read at i and i-1 for a node's east and west links.  The
+// temperature field is stored with one layer of ghost cells on either end so
+// every neighbour read is in-bounds.  The kernels walk each layer in row
+// bands (first, interior and last row) with the band's north/south links as
+// scalars; a boundary term multiplies a ghost temperature by a zero
+// conductance, which contributes an exact (+/-)0.0, so the sweep is
+// branch-free and bit-identical to the guarded per-node oracle in
+// tests/support/thermal_reference.hpp.  Per-layer peak/mean reductions are
+// cached and recomputed in a single pass over the field when the
+// temperatures change.
 #pragma once
 
 #include <cstddef>
@@ -81,11 +86,11 @@ struct StackSpec {
 [[nodiscard]] StackSpec hbm_stack_spec(std::size_t dram_dies, std::size_t grid_nx,
                                        std::size_t grid_ny);
 
-/// Ceiling on the substep count a single step()/step_reference()/step_adi()
-/// call may take.  Tall stacks on fine grids shrink the stable dt quadratically
-/// with cell area; silently looping tens of millions of substeps behind one
-/// call is a hang, not a simulation.  The integrators throw ConfigError past
-/// this bound; the explicit one names step_adi() as the way out.
+/// Ceiling on the substep count a single step()/step_adi() call may take.
+/// Tall stacks on fine grids shrink the stable dt quadratically with cell
+/// area; silently looping tens of millions of substeps behind one call is a
+/// hang, not a simulation.  The integrators throw ConfigError past this
+/// bound; the explicit one names step_adi() as the way out.
 inline constexpr std::size_t kMaxTransientSubsteps = std::size_t{1} << 22;
 
 /// step_adi() substep length as a multiple of the explicit stable dt.  The
@@ -93,44 +98,6 @@ inline constexpr std::size_t kMaxTransientSubsteps = std::size_t{1} << 22;
 /// work; 32 keeps a 16-high HBM stack within the documented tolerance of a
 /// tight-dt explicit reference (DESIGN.md section 13).
 inline constexpr double kAdiDtFactor = 32.0;
-
-/// The flat-stencil RC network compiled from a StackSpec: per-node
-/// neighbour-conductance tables (zero where the neighbour does not exist),
-/// mirrored west/south/down views, ghost-padded offset copies for the
-/// branch-free sweeps, heat capacities, the lumped-sink coupling and the
-/// explicit-Euler stable step.
-struct StackNetwork {
-  std::size_t n_cells{0};
-  std::size_t n_nodes{0};
-
-  std::vector<double> g_east;    // node -> node+1 in x
-  std::vector<double> g_west;    // node -> node-1 in x
-  std::vector<double> g_north;   // node -> node+nx in y
-  std::vector<double> g_south;   // node -> node-nx in y
-  std::vector<double> g_up;      // node -> node one layer up
-  std::vector<double> g_down;    // node -> node one layer down
-  // Offset-padded sweep views: same values with n_cells leading zeros, so a
-  // transient kernel reads east/west (north/south, up/down) pairs from one
-  // array at offsets i and i-1 (i-nx, i-n_cells).
-  std::vector<double> g_east_pad;
-  std::vector<double> g_north_pad;
-  std::vector<double> g_up_pad;
-  std::vector<double> g_sink;    // top-layer cells -> sink node
-  std::vector<double> g_board;   // bottom-layer cells -> ambient
-  std::vector<double> g_diag;    // sum of incident conductances per node
-  double g_sink_ambient{0.0};
-  double sink_g_total{0.0};
-
-  std::vector<double> cap;       // heat capacities (J/K)
-  Time stable_dt{Time::zero()};
-
-  [[nodiscard]] static StackNetwork build(const StackSpec& spec);
-
-  /// Explicit-Euler substeps needed to advance `dt` stably.  Throws
-  /// ConfigError when dt is non-positive or the count would exceed
-  /// kMaxTransientSubsteps (the tall-stack/fine-grid collapse case).
-  [[nodiscard]] std::size_t substeps_for(Time dt) const;
-};
 
 /// Initial field for an SOR steady-state solve (StackModel::solve_steady and
 /// the HmcThermalModel::solve_steady(SteadyStart) reference overload).
@@ -155,8 +122,8 @@ class StackModel {
   void set_layer_power(std::size_t layer, const PowerMap& power);
   /// The same from a row of cells_per_layer() watts; allocates nothing.
   void set_layer_power(std::size_t layer, std::span<const double> watts);
-  /// Convenience: clear all power.
-  void clear_power();
+  /// Power per node in watts, same order as temperatures_k().
+  [[nodiscard]] std::span<const double> power_w() const { return power_w_; }
 
   /// Solve for the steady-state temperature field with the current power.
   /// Returns the number of solver iterations used.
@@ -164,13 +131,8 @@ class StackModel {
                            SteadyStart start = SteadyStart::kWarm);
 
   /// Advance the transient solution by `dt` with the current power.
-  /// Branch-free flat-stencil sweep; no heap allocation after construction.
+  /// Branch-free row-band sweep; no heap allocation after construction.
   void step(Time dt);
-
-  /// Retained naive sweep (boundary branches per cell, fresh scratch vector
-  /// per call).  Produces bit-identical temperatures to step(); kept as the
-  /// equivalence-test oracle and the perf-bench baseline.
-  void step_reference(Time dt);
 
   /// Advance by `dt` with the alternating-direction implicit kernel: per
   /// substep, Lie-split backward-Euler line solves (Thomas algorithm) along
@@ -184,13 +146,11 @@ class StackModel {
   /// substep length changes.
   void step_adi(Time dt);
 
-  /// Sub-steps step()/step_reference() perform for a given dt.  Throws
-  /// ConfigError (never silently loops) when the count would exceed
-  /// kMaxTransientSubsteps -- see StackNetwork::substeps_for.
+  /// Explicit-Euler substeps step() performs for a given dt.  Throws
+  /// ConfigError when dt is non-positive or the count would exceed
+  /// kMaxTransientSubsteps (the tall-stack/fine-grid collapse case), never
+  /// silently looping.
   [[nodiscard]] std::size_t substeps_for(Time dt) const;
-
-  /// The compiled stencil network (read-only).
-  [[nodiscard]] const StackNetwork& network() const { return net_; }
 
   /// Reset all temperatures to ambient.
   void reset_to_ambient();
@@ -208,6 +168,8 @@ class StackModel {
   /// Peak over layers [first, last] inclusive.
   [[nodiscard]] Celsius peak_over_layers(std::size_t first, std::size_t last) const;
   [[nodiscard]] Celsius sink_temp() const;
+  /// The sink node temperature in Kelvin, exactly as the integrators hold it.
+  [[nodiscard]] double sink_temp_k() const { return sink_temp_k_; }
 
   /// Package surface temperature estimate: what a thermal camera aimed at
   /// the package lid would read -- between the top-die and sink temperature.
@@ -217,9 +179,20 @@ class StackModel {
   [[nodiscard]] std::vector<double> layer_field(std::size_t layer) const;
 
   /// Largest stable explicit-Euler step for the current conductances.
-  [[nodiscard]] Time stable_step() const { return net_.stable_dt; }
+  [[nodiscard]] Time stable_step() const { return stable_dt_; }
 
  private:
+  /// One die layer of the compiled RC network.  Cell geometry and material
+  /// are uniform within a layer, so each kind of link has one conductance
+  /// (W/K).  A link the stack does not have is zero: g_x on a one-column
+  /// grid, g_y on a one-row grid, g_up on the top layer.
+  struct Layer {
+    double cap;   // heat capacity per cell, J/K
+    double g_x;   // east-west link
+    double g_y;   // north-south link
+    double g_up;  // link to the cell one layer up
+  };
+
   /// Per-layer reductions, computed lazily in one pass over the field.
   struct LayerStat {
     double peak_k;
@@ -236,6 +209,11 @@ class StackModel {
   }
   [[nodiscard]] const std::vector<LayerStat>& stats() const;
   void mark_temps_changed() { stats_dirty_ = true; }
+  /// Calls visit(i, stencil) for every node i in node order -- the
+  /// Gauss-Seidel order of solve_steady() -- with its heat capacity and the
+  /// conductances incident on it.
+  template <typename Visit>
+  void for_each_node(Visit&& visit) const;
   /// Rebuild the step_adi() line factorizations for substep length h, in
   /// place (no allocation); a no-op when the plan already matches h.
   void refactor_adi(double h);
@@ -256,13 +234,20 @@ class StackModel {
   // Power per node (watts).
   std::vector<double> power_w_;
 
-  // The compiled stencil: conductance tables, capacities, sink coupling and
-  // the stable step.
-  StackNetwork net_;
+  // The compiled RC network.  g_east_ holds n_cells leading zeros and then
+  // every node's east link, zero at row ends, so g_east_[n_cells + i - 1] is
+  // node i's west link.
+  std::vector<Layer> layers_;
+  std::vector<double> g_east_;
+  double g_board_{0.0};         // each bottom-layer cell -> ambient
+  double g_sink_{0.0};          // each top-layer cell -> sink node
+  double g_sink_ambient_{0.0};  // sink node -> ambient
+  double sink_g_total_{0.0};    // every conductance incident on the sink node
+  Time stable_dt_{Time::zero()};
 
   // step_adi() factorizations for the current substep length: per-layer
   // Thomas coefficients along x and y, the column factorization along z,
-  // per-layer cap/h and link conductances, and the sink-update terms.
+  // per-layer cap/h and up-links, and the sink-update terms.
   // Cell geometry and material are uniform within a layer, so one line
   // factorization per (layer, direction) covers every row and column.
   struct AdiPlan {
@@ -271,7 +256,6 @@ class StackModel {
     std::vector<double> cp_y, inv_y;  // [layer][y]
     std::vector<double> cp_z, inv_z;  // [layer]
     std::vector<double> rc;           // [layer] cap/h
-    std::vector<double> gx, gy;       // [layer] lateral link conductance
     std::vector<double> gu;           // [layer] layer -> layer+1 link (0 at top)
     double sink_rc{0.0};
     double inv_sink_den{0.0};

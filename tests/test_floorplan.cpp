@@ -45,38 +45,14 @@ TEST(PowerMapTest, UniformConservesTotal) {
 
 TEST(PowerMapTest, VaultCenteredConservesTotalAndConcentrates) {
   const Floorplan fp;
-  const PowerMap map = vault_centered_power(fp, 26.0, 1);
+  const PowerMap map = vault_centered_power(fp, 26.0);
   EXPECT_NEAR(map.total(), 26.0, 1e-9);
-  // Exactly vault_count cells carry power with spread 1.
+  // Exactly vault_count cells carry power.
   std::size_t hot = 0;
   for (std::size_t c = 0; c < fp.grid.cells(); ++c) {
     if (map.at(c) > 0.0) ++hot;
   }
   EXPECT_EQ(hot, fp.vault_count());
-}
-
-TEST(PowerMapTest, SpreadRadiusGrowsFootprint) {
-  const Floorplan fp;
-  auto hot_cells = [&](int spread) {
-    const PowerMap map = vault_centered_power(fp, 10.0, spread);
-    std::size_t hot = 0;
-    for (std::size_t c = 0; c < fp.grid.cells(); ++c) {
-      if (map.at(c) > 0.0) ++hot;
-    }
-    return hot;
-  };
-  EXPECT_GT(hot_cells(2), hot_cells(1));
-  EXPECT_THROW(vault_centered_power(fp, 1.0, 0), ConfigError);
-}
-
-TEST(PowerMapTest, EdgePowerOnPerimeterOnly) {
-  const Floorplan fp;
-  const PowerMap map = edge_power(fp, 8.0);
-  EXPECT_NEAR(map.total(), 8.0, 1e-9);
-  // Interior cells carry nothing.
-  const std::size_t interior = fp.grid.index(fp.grid.nx / 2, fp.grid.ny / 2);
-  EXPECT_DOUBLE_EQ(map.at(interior), 0.0);
-  EXPECT_GT(map.at(fp.grid.index(0, 0)), 0.0);
 }
 
 TEST(PowerMapTest, AddAndScale) {

@@ -175,7 +175,7 @@ TEST(CounterRegistryTest, MarksSnapshotAtSimulatedTimes) {
 }
 
 TEST(SweepObserverTest, TasksKeepSubmissionOrderInOutput) {
-  SweepObserver obs{/*want_trace=*/true, /*want_counters=*/true};
+  SweepObserver obs;
   auto* a = obs.add_task("dc", "Naive");
   auto* b = obs.add_task("pagerank", "CoolPIM (HW)");
   ASSERT_NE(a, nullptr);
@@ -195,7 +195,7 @@ TEST(SweepObserverTest, TasksKeepSubmissionOrderInOutput) {
 }
 
 TEST(SweepObserverTest, CountersCsvHasDocumentedHeader) {
-  SweepObserver obs{true, true};
+  SweepObserver obs;
   auto* rec = obs.add_task("dc", "Naive");
   rec->obs.counters.counter("sys/epochs").add(4);
   rec->obs.counters.mark(Time::ms(1));

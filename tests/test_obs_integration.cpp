@@ -173,7 +173,7 @@ class ObsIntegration : public ::testing::Test {
     // The runner task span records cache_hit, so equal process state (an
     // empty cache) is part of the byte-identical contract.
     runner::clear_result_cache();
-    obs::SweepObserver observer{/*want_trace=*/true, /*want_counters=*/true};
+    obs::SweepObserver observer;
     runner::RunOptions opt;
     opt.jobs = jobs;
     opt.obs = &observer;
@@ -203,7 +203,7 @@ TEST_F(ObsIntegration, ObserverDoesNotPerturbResults) {
   plain.use_cache = false;
   const auto bare = runner::run_sweep(set(), experiments(), plain);
 
-  obs::SweepObserver observer{true, true};
+  obs::SweepObserver observer;
   runner::RunOptions observed = plain;
   observed.use_cache = true;  // observed tasks bypass lookup anyway
   observed.obs = &observer;
@@ -261,7 +261,7 @@ TEST_F(ObsIntegration, GoldenTraceSmoke) {
 
 TEST_F(ObsIntegration, RunnerTaskSpanCarriesIdentity) {
   runner::clear_result_cache();
-  obs::SweepObserver observer{true, false};
+  obs::SweepObserver observer;
   runner::RunOptions opt;
   opt.jobs = 1;
   opt.obs = &observer;

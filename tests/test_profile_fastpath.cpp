@@ -1,6 +1,6 @@
 // Tests for the workload-profiling fast path: sparse-frontier SIMT costing
-// vs. the dense oracle, parallel WorkloadSet construction vs. the serial
-// reference, and the persistent profile cache (round-trip, corruption and
+// vs. the dense oracle, parallel WorkloadSet construction vs. a jobs = 1
+// build, and the persistent profile cache (round-trip, corruption and
 // staleness fallback).
 #include <gtest/gtest.h>
 
@@ -104,7 +104,7 @@ TEST_F(SparseCostEquivalence, WarpCentricOrderIndependent) {
       graph::warp_centric_cost_sparse(shuffled, f.work.size(), kInstr, kBase));
 }
 
-// --- Parallel WorkloadSet vs. serial reference ----------------------------
+// --- Parallel WorkloadSet vs. a jobs = 1 build -----------------------------
 
 void expect_profiles_identical(const std::vector<graph::WorkloadProfile>& a,
                                const std::vector<graph::WorkloadProfile>& b) {
@@ -137,11 +137,13 @@ void expect_profiles_identical(const std::vector<graph::WorkloadProfile>& a,
 }
 
 TEST(WorkloadSetParallelTest, BitIdenticalToSerialReferenceAtAnyJobs) {
+  // jobs = 1 builds the CSR serially and profiles one workload after another.
   sys::WorkloadSet::BuildOptions serial_opt;
-  serial_opt.serial_reference = true;
+  serial_opt.jobs = 1;
+  serial_opt.use_cache = false;
   const sys::WorkloadSet oracle{12, 7, true, serial_opt};
 
-  for (const unsigned jobs : {1u, 8u}) {
+  for (const unsigned jobs : {3u, 8u}) {
     SCOPED_TRACE("jobs=" + std::to_string(jobs));
     sys::WorkloadSet::BuildOptions opt;
     opt.jobs = jobs;
@@ -281,17 +283,6 @@ TEST_F(ProfileCacheTest, KeySeparatesIdentities) {
   EXPECT_NE(k1, sys::profile_cache_key(12, 3, false));
   EXPECT_NE(k1, sys::profile_cache_key(11, 4, false));
   EXPECT_NE(k1, sys::profile_cache_key(11, 3, true));
-}
-
-TEST_F(ProfileCacheTest, SerialReferenceNeverTouchesCache) {
-  (void)build();  // populate
-  sys::WorkloadSet::BuildOptions opt;
-  opt.cache_dir = dir_;
-  opt.serial_reference = true;
-  const sys::WorkloadSet serial{11, 3, false, opt};
-  EXPECT_EQ(serial.build_stats().cache_hits, 0u);
-  EXPECT_EQ(serial.build_stats().cache_misses, 0u);
-  EXPECT_EQ(serial.build_stats().profiles_computed, serial.all().size());
 }
 
 }  // namespace

@@ -78,7 +78,7 @@ TEST(StackModelTest, ConcentratedPowerMakesHotterPeak) {
   StackModel hotspot_model{small_spec()};
   const auto fp = uniform_model.spec().floorplan;
   uniform_model.set_layer_power(0, uniform_power(fp, 20.0));
-  hotspot_model.set_layer_power(0, vault_centered_power(fp, 20.0, 1));
+  hotspot_model.set_layer_power(0, vault_centered_power(fp, 20.0));
   uniform_model.solve_steady();
   hotspot_model.solve_steady();
   EXPECT_GT(hotspot_model.layer_peak(0).value(), uniform_model.layer_peak(0).value());

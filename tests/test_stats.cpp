@@ -1,7 +1,5 @@
-// Tests for counters, summaries and histograms.
+// Tests for counters, summaries and the StatSet.
 #include <gtest/gtest.h>
-
-#include "common/error.hpp"
 
 #include <cmath>
 #include <vector>
@@ -60,31 +58,6 @@ TEST(SummaryTest, WelfordMatchesNaiveOnRandomData) {
   EXPECT_NEAR(s.variance(), var, 1e-6);
 }
 
-TEST(HistogramTest, BucketsAndClamping) {
-  Histogram h{0.0, 10.0, 10};
-  h.record(0.5);
-  h.record(5.5);
-  h.record(-3.0);   // clamps to first bucket
-  h.record(100.0);  // clamps to last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[5], 1u);
-  EXPECT_EQ(h.buckets()[9], 1u);
-}
-
-TEST(HistogramTest, Percentile) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 100; ++i) h.record(static_cast<double>(i) + 0.5);
-  EXPECT_NEAR(h.percentile(0.5), 49.0, 2.0);
-  EXPECT_NEAR(h.percentile(0.99), 98.0, 2.0);
-  EXPECT_LE(h.percentile(0.0), h.percentile(1.0));
-}
-
-TEST(HistogramTest, InvalidConfigThrows) {
-  EXPECT_THROW((Histogram{5.0, 5.0, 10}), ConfigError);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), ConfigError);
-}
-
 TEST(StatSetTest, NamedAccessAndReset) {
   StatSet set;
   set.counter("reads").add(7);
@@ -96,23 +69,6 @@ TEST(StatSetTest, NamedAccessAndReset) {
   EXPECT_EQ(set.counter_value("reads"), 0u);
   EXPECT_EQ(set.summaries().at("latency").count(), 0u);
 }
-
-// Property: percentiles are monotone in q for arbitrary data.
-class PercentileMonotone : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PercentileMonotone, Monotonic) {
-  Rng rng{GetParam()};
-  Histogram h{0.0, 1.0, 64};
-  for (int i = 0; i < 1000; ++i) h.record(rng.next_double());
-  double prev = -1.0;
-  for (double q = 0.0; q <= 1.0; q += 0.05) {
-    const double p = h.percentile(q);
-    EXPECT_GE(p, prev);
-    prev = p;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PercentileMonotone, ::testing::Values(1u, 2u, 3u, 42u, 999u));
 
 }  // namespace
 }  // namespace coolpim

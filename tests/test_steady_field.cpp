@@ -1,8 +1,8 @@
 // Steady-state field tests (docs/PERFORMANCE.md section 2):
 //  * HmcThermalModel::solve_steady() -- ambient plus cached unit responses
 //    scaled by the applied watts -- lands on a tightly converged SOR solve
-//    of the same stack for random power mixes, every cooling solution, the
-//    HMC 1.1 geometry with its co-heater, and a wider vault spread;
+//    of the same stack for random power mixes, every cooling solution and
+//    the HMC 1.1 geometry with its co-heater;
 //  * the field obeys physics: energy balance (power in = heat out through
 //    the sink and the board) and monotonicity in PIM rate and in sink
 //    resistance;
@@ -24,6 +24,7 @@
 #include "obs/names.hpp"
 #include "power/cooling.hpp"
 #include "power/energy_model.hpp"
+#include "support/thermal_reference.hpp"
 #include "thermal/hmc_thermal.hpp"
 #include "thermal/stack_model.hpp"
 
@@ -37,9 +38,7 @@ struct NamedConfig {
   HmcThermalConfig cfg;
 };
 
-/// The four HMC 2.0 coolings, the HMC 1.1 module with a 20 W co-heater, and
-/// HMC 2.0 with logic dynamic power spread over 3x3 cells (so logic dynamic
-/// and FU power need separate responses).
+/// The four HMC 2.0 coolings and the HMC 1.1 module with a 20 W co-heater.
 std::vector<NamedConfig> configs() {
   std::vector<NamedConfig> out;
   for (const auto type : {CoolingType::kPassive, CoolingType::kLowEndActive,
@@ -47,9 +46,6 @@ std::vector<NamedConfig> configs() {
     out.push_back({"hmc20 " + power::cooling(type).name, hmc20_thermal_config(type)});
   }
   out.push_back({"hmc11 + 20 W co-heater", hmc11_thermal_config(CoolingType::kLowEndActive, 20.0)});
-  HmcThermalConfig spread = hmc20_thermal_config(CoolingType::kCommodityServer);
-  spread.vault_spread_cells = 2;
-  out.push_back({"hmc20 spread 2", spread});
   return out;
 }
 
@@ -113,14 +109,11 @@ TEST(SteadySuperposition, MatchesConvergedSorOnRandomMixes) {
 }
 
 TEST(SteadySuperposition, OneResponsePerDistinctPattern) {
-  // Logic background, vault centres (logic dynamic and FU share the shape at
-  // spread 1), DRAM; the co-heater and a wider spread add one each.
+  // Logic background, vault centres (logic dynamic and FU share the shape),
+  // DRAM; the co-heater adds one.
   EXPECT_EQ(solve_unit_responses(hmc20_thermal_config(CoolingType::kCommodityServer)).size(),
             3u);
   EXPECT_EQ(solve_unit_responses(hmc11_thermal_config(CoolingType::kPassive, 20.0)).size(), 4u);
-  HmcThermalConfig spread = hmc20_thermal_config(CoolingType::kCommodityServer);
-  spread.vault_spread_cells = 2;
-  EXPECT_EQ(solve_unit_responses(spread).size(), 4u);
 }
 
 TEST(SteadySuperposition, CountsSolvesButNoSorIterations) {
@@ -182,13 +175,8 @@ TEST(SteadyFieldPhysics, EnergyBalance) {
       const power::PowerBreakdown power = random_power(rng);
       model.apply_power(power);
       model.solve_steady();
-      const StackNetwork& net = model.stack().network();
-      const double ambient_k = cfg.ambient.as_kelvin();
-      const auto t = model.stack().temperatures_k();
-      double out = net.g_sink_ambient * (model.stack().sink_temp().as_kelvin() - ambient_k);
-      for (std::size_t i = 0; i < t.size(); ++i) out += net.g_board[i] * (t[i] - ambient_k);
       const double in = power.total().value() + cfg.co_heater_watts;
-      EXPECT_NEAR(out, in, 1e-6 * in) << "mix " << mix;
+      EXPECT_NEAR(heat_out(model.stack()), in, 1e-6 * in) << "mix " << mix;
     }
   }
 }

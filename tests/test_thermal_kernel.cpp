@@ -1,7 +1,9 @@
 // Thermal fast-path contract tests (docs/PERFORMANCE.md, DESIGN.md
 // sections 9 and 13):
-//  * the branch-free flat-stencil sweep (StackModel::step) is bit-identical
-//    to the retained guarded reference sweep on randomized stacks,
+//  * the branch-free row-band sweep (StackModel::step) is bit-identical to
+//    the guarded per-node ReferenceSweep (tests/support) on randomized
+//    stacks and on fixed shapes that hit every row-band case, where SOR
+//    also balances energy,
 //  * the transient kernel is stable at stable_step() under extreme cooling,
 //  * the hot path performs no heap allocations after construction -- checked
 //    with this binary's counting global operator new (tests are separate
@@ -31,6 +33,7 @@
 #include "hmc/link_model.hpp"
 #include "power/cooling.hpp"
 #include "power/energy_model.hpp"
+#include "support/thermal_reference.hpp"
 #include "thermal/hmc_thermal.hpp"
 #include "thermal/stack_model.hpp"
 
@@ -65,17 +68,16 @@ namespace {
 
 std::uint64_t allocations() { return g_live_allocs.load(std::memory_order_relaxed); }
 
-/// Randomized but physically valid stack: 1-5 layers, odd grid shapes,
-/// varying materials and sink parameters.
-StackSpec random_spec(Rng& rng) {
+/// Randomized but physically valid stack on an nx x ny grid: varying
+/// materials and sink parameters.
+StackSpec random_spec(Rng& rng, std::size_t nx, std::size_t ny, std::size_t n_layers) {
   StackSpec spec;
   spec.floorplan.vaults_x = 1;
   spec.floorplan.vaults_y = 1;
-  spec.floorplan.grid.nx = static_cast<std::size_t>(rng.next_in(1, 24));
-  spec.floorplan.grid.ny = static_cast<std::size_t>(rng.next_in(1, 12));
+  spec.floorplan.grid.nx = nx;
+  spec.floorplan.grid.ny = ny;
   spec.floorplan.die_width_m = 2e-3 + 10e-3 * rng.next_double();
   spec.floorplan.die_height_m = 2e-3 + 10e-3 * rng.next_double();
-  const auto n_layers = static_cast<std::size_t>(rng.next_in(1, 5));
   for (std::size_t l = 0; l < n_layers; ++l) {
     LayerSpec layer;
     layer.name = "L" + std::to_string(l);
@@ -92,6 +94,28 @@ StackSpec random_spec(Rng& rng) {
   spec.co_heater_watts = rng.next_bool(0.3) ? 5.0 * rng.next_double() : 0.0;
   return spec;
 }
+
+/// The same with 1-5 layers on an odd grid shape.
+StackSpec random_spec(Rng& rng) {
+  const auto nx = static_cast<std::size_t>(rng.next_in(1, 24));
+  const auto ny = static_cast<std::size_t>(rng.next_in(1, 12));
+  const auto n_layers = static_cast<std::size_t>(rng.next_in(1, 5));
+  return random_spec(rng, nx, ny, n_layers);
+}
+
+/// Fixed shapes that reach every row-band case of the kernels, whatever the
+/// random draws hit.
+struct Shape {
+  const char* name;
+  std::size_t nx, ny, layers;
+};
+constexpr Shape kEdgeShapes[] = {
+    {"single layer", 7, 5, 1},
+    {"nx = 1", 1, 6, 3},
+    {"ny = 1", 9, 1, 3},
+    {"ny = 2 (empty interior band)", 8, 2, 3},
+    {"1x1", 1, 1, 3},
+};
 
 void apply_random_power(StackModel& model, Rng& rng) {
   for (std::size_t l = 0; l < model.layer_count(); ++l) {
@@ -116,27 +140,54 @@ void expect_fields_bit_identical(const StackModel& a, const StackModel& b) {
   ASSERT_EQ(a.sink_temp().value(), b.sink_temp().value());
 }
 
+/// Steps one model with step() and a twin through the ReferenceSweep, with
+/// power drawn from `rng`, and requires bit-identical fields throughout.
+void expect_sweeps_bit_identical(const StackSpec& spec, Rng& rng) {
+  StackModel fast{spec};
+  StackModel ref{spec};
+  const ReferenceSweep oracle{spec};
+  ASSERT_EQ(fast.stable_step(), oracle.stable_step());
+  Rng power_rng{rng.next_u64()};
+  Rng power_rng_copy = power_rng;
+  apply_random_power(fast, power_rng);
+  apply_random_power(ref, power_rng_copy);
+
+  // Mix of sub-stable and multi-substep strides, interleaved with power
+  // changes mid-run as the system driver does.
+  const Time strides[] = {fast.stable_step(), Time::us(10.0), Time::us(3.3), Time::us(50.0)};
+  for (const Time dt : strides) {
+    for (int s = 0; s < 3; ++s) {
+      fast.step(dt);
+      oracle.step(ref, dt);
+    }
+    expect_fields_bit_identical(fast, ref);
+  }
+}
+
 TEST(ThermalKernel, FastSweepBitIdenticalToReferenceOnRandomStacks) {
   Rng rng{0x7ea4'd00d'1234'5678ULL};
+  for (const Shape& shape : kEdgeShapes) {
+    SCOPED_TRACE(shape.name);
+    expect_sweeps_bit_identical(random_spec(rng, shape.nx, shape.ny, shape.layers), rng);
+  }
   for (int trial = 0; trial < 12; ++trial) {
-    const StackSpec spec = random_spec(rng);
-    StackModel fast{spec};
-    StackModel ref{spec};
-    Rng power_rng{rng.next_u64()};
-    Rng power_rng_copy = power_rng;
-    apply_random_power(fast, power_rng);
-    apply_random_power(ref, power_rng_copy);
+    SCOPED_TRACE("random stack " + std::to_string(trial));
+    expect_sweeps_bit_identical(random_spec(rng), rng);
+  }
+}
 
-    // Mix of sub-stable and multi-substep strides, interleaved with power
-    // changes mid-run as the system driver does.
-    const Time strides[] = {fast.stable_step(), Time::us(10.0), Time::us(3.3), Time::us(50.0)};
-    for (const Time dt : strides) {
-      for (int s = 0; s < 3; ++s) {
-        fast.step(dt);
-        ref.step_reference(dt);
-      }
-      expect_fields_bit_identical(fast, ref);
-    }
+TEST(ThermalKernel, SorBalancesEnergyOnEdgeShapes) {
+  // Power in (node watts plus the co-heater) equals heat out through the
+  // sink and the board, on every row-band case of the SOR sweep.
+  Rng rng{0x5022'ba1a'0001ULL};
+  for (const Shape& shape : kEdgeShapes) {
+    SCOPED_TRACE(shape.name);
+    StackModel model{random_spec(rng, shape.nx, shape.ny, shape.layers)};
+    apply_random_power(model, rng);
+    model.solve_steady(1e-12);
+    double power_in = model.spec().co_heater_watts;
+    for (const double w : model.power_w()) power_in += w;
+    EXPECT_NEAR(heat_out(model), power_in, 1e-9 * power_in);
   }
 }
 
@@ -186,8 +237,9 @@ TEST(ThermalKernel, StepIsAllocationFreeAndReferenceIsNot) {
   }
   EXPECT_EQ(allocations(), before) << "step() allocated on the hot path";
 
+  const ReferenceSweep oracle{stack.spec()};
   const std::uint64_t ref_before = allocations();
-  stack.step_reference(Time::us(10.0));
+  oracle.step(stack, Time::us(10.0));
   EXPECT_GT(allocations(), ref_before) << "reference kernel should use per-call scratch";
 }
 
@@ -231,9 +283,7 @@ power::PowerBreakdown sample_breakdown(double scale) {
 }
 
 TEST(ThermalKernel, ApplyPowerAndStepAreAllocationFreeAfterTheFirstCall) {
-  HmcThermalConfig cfg = hmc20_thermal_config(power::CoolingType::kCommodityServer);
-  cfg.vault_spread_cells = 2;
-  HmcThermalModel model{cfg};
+  HmcThermalModel model{hmc20_thermal_config(power::CoolingType::kCommodityServer)};
   model.apply_power(sample_breakdown(1.0));
   model.step(Time::us(50.0));
 
@@ -247,39 +297,34 @@ TEST(ThermalKernel, ApplyPowerAndStepAreAllocationFreeAfterTheFirstCall) {
 
 // apply_power() paints its rows in place; the watts must be the bits of one
 // PowerMap per source summed in layout order (logic background, logic
-// dynamic, FU; DRAM split over the dies), including spreads whose vault
-// blocks overlap.  Equal power gives bit-equal transients.
+// dynamic, FU; DRAM split over the dies).  Equal power gives bit-equal
+// transients.
 TEST(ThermalKernel, ApplyPowerMatchesPowerMapSumsBitForBit) {
-  for (const int spread : {1, 2, 3, 5}) {
-    HmcThermalConfig cfg = hmc20_thermal_config(power::CoolingType::kCommodityServer);
-    cfg.vault_spread_cells = spread;
-    HmcThermalModel model{cfg};
-    StackModel reference{model.stack().spec()};
-    const Floorplan& fp = reference.spec().floorplan;
+  const HmcThermalConfig cfg = hmc20_thermal_config(power::CoolingType::kCommodityServer);
+  HmcThermalModel model{cfg};
+  StackModel reference{model.stack().spec()};
+  const Floorplan& fp = reference.spec().floorplan;
 
-    for (const double scale : {1.0, 2.7}) {
-      const power::PowerBreakdown p = sample_breakdown(scale);
-      model.apply_power(p);
-      PowerMap logic{fp.grid};
-      logic.add(uniform_power(fp, p.logic_background.value()));
-      logic.add(vault_centered_power(fp, p.logic_dynamic.value(), spread));
-      logic.add(vault_centered_power(fp, p.fu.value(), 1));
-      PowerMap dram{fp.grid};
-      dram.add(uniform_power(fp, p.dram_total().value() / static_cast<double>(cfg.dram_dies)));
-      reference.set_layer_power(0, logic);
-      for (std::size_t l = 1; l <= cfg.dram_dies; ++l) reference.set_layer_power(l, dram);
+  for (const double scale : {1.0, 2.7}) {
+    const power::PowerBreakdown p = sample_breakdown(scale);
+    model.apply_power(p);
+    PowerMap logic{fp.grid};
+    logic.add(uniform_power(fp, p.logic_background.value()));
+    logic.add(vault_centered_power(fp, p.logic_dynamic.value()));
+    logic.add(vault_centered_power(fp, p.fu.value()));
+    PowerMap dram{fp.grid};
+    dram.add(uniform_power(fp, p.dram_total().value() / static_cast<double>(cfg.dram_dies)));
+    reference.set_layer_power(0, logic);
+    for (std::size_t l = 1; l <= cfg.dram_dies; ++l) reference.set_layer_power(l, dram);
 
-      for (int s = 0; s < 3; ++s) {
-        model.stack().step(Time::us(50.0));
-        reference.step(Time::us(50.0));
-      }
-      const auto got = model.stack().temperatures_k();
-      const auto want = reference.temperatures_k();
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(got[i], want[i]) << "spread " << spread << ", node " << i;
-      }
+    for (int s = 0; s < 3; ++s) {
+      model.stack().step(Time::us(50.0));
+      reference.step(Time::us(50.0));
     }
+    const auto got = model.stack().temperatures_k();
+    const auto want = reference.temperatures_k();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], want[i]) << "node " << i;
   }
 }
 
@@ -313,7 +358,7 @@ TEST(ThermalKernel, IntegratorsFailLoudlyPastTheSubstepCeiling) {
   const Time huge = Time::sec(tall.stable_step().as_sec() * 5.0e6);
   EXPECT_THROW((void)tall.substeps_for(huge), ConfigError);
   EXPECT_THROW(tall.step(huge), ConfigError);
-  EXPECT_THROW(tall.step_reference(huge), ConfigError);
+  EXPECT_THROW(ReferenceSweep{tall.spec()}.step(tall, huge), ConfigError);
   // step_adi has the same ceiling at kAdiDtFactor x the substep length.
   const Time beyond_adi = Time::sec(tall.stable_step().as_sec() * kAdiDtFactor * 5.0e6);
   EXPECT_THROW(tall.step_adi(beyond_adi), ConfigError);
@@ -340,7 +385,7 @@ TEST(ThermalKernel, IntegratorsFailLoudlyPastTheSubstepCeiling) {
 TEST(ThermalKernel, AdiMatchesTightDtExplicitOnTallStack) {
   // 16-high HBM-class stack.  One step_adi substep spans kAdiDtFactor (>=
   // 10) explicit stable steps; the tight-dt reference advances the same dt
-  // through the explicit step() (bit-identical to step_reference).
+  // through the explicit step() (bit-identical to ReferenceSweep).
   const StackSpec spec = scaled_hbm_spec(16, 12, 10, 0.05);
   StackModel adi{spec};
   StackModel explicit_ref{spec};
@@ -391,16 +436,6 @@ int settle_adi(StackModel& model, Time dt) {
     if (moved < 1e-12) return call;
   }
   return 0;
-}
-
-/// Heat leaving the stack through the sink and the board, watts.
-double heat_out(const StackModel& model) {
-  const StackNetwork& net = model.network();
-  const double ambient_k = model.spec().ambient.as_kelvin();
-  const auto t = model.temperatures_k();
-  double out = net.g_sink_ambient * (model.sink_temp().as_kelvin() - ambient_k);
-  for (std::size_t i = 0; i < t.size(); ++i) out += net.g_board[i] * (t[i] - ambient_k);
-  return out;
 }
 
 /// `v` in scientific notation, for RecordProperty.
@@ -456,8 +491,8 @@ TEST(ThermalKernel, AdiSettlesOntoTheSteadyState) {
     // recorded, not bounded.
     StackModel adi_vault{spec};
     StackModel sor_vault{spec};
-    apply(adi_vault, vault_centered_power(spec.floorplan, 10.0, 1));
-    apply(sor_vault, vault_centered_power(spec.floorplan, 10.0, 1));
+    apply(adi_vault, vault_centered_power(spec.floorplan, 10.0));
+    apply(sor_vault, vault_centered_power(spec.floorplan, 10.0));
     ASSERT_GT(settle_adi(adi_vault, dt), 0) << where << ": step_adi never settled";
     sor_vault.solve_steady(1e-12);
     EXPECT_NEAR(heat_out(adi_vault), power_in, 1e-9 * power_in) << where << ": energy balance";
@@ -482,7 +517,7 @@ std::string read_doc(const std::string& path) {
 TEST(ThermalKernelDocsSync, PerformanceAndDesignDocumentTheContracts) {
   const std::string perf = read_doc(std::string{COOLPIM_DOCS_DIR} + "/PERFORMANCE.md");
   for (const char* needle :
-       {"bit-identical", "target_clones", "step_reference", "step_adi", "Thomas",
+       {"bit-identical", "target_clones", "ReferenceSweep", "step_adi", "Thomas",
         "kAdiDtFactor", "## 7. ADI for tall stacks",
         "## 8. Why there is no lane-batched sweep executor"}) {
     EXPECT_NE(perf.find(needle), std::string::npos)
@@ -490,7 +525,7 @@ TEST(ThermalKernelDocsSync, PerformanceAndDesignDocumentTheContracts) {
   }
   const std::string design = read_doc(std::string{COOLPIM_REPO_DIR} + "/DESIGN.md");
   for (const char* needle :
-       {"## 13", "step_adi", "step_reference", "kMaxTransientSubsteps",
+       {"## 13", "step_adi", "ReferenceSweep", "kMaxTransientSubsteps",
         "2% of the explicit temperature rise", "uniform per-layer power"}) {
     EXPECT_NE(design.find(needle), std::string::npos) << needle << " not documented in DESIGN.md";
   }

@@ -167,7 +167,7 @@ SCHEMAS = {
         "gate.jobs_bit_identical": bool,
         "gate.pass": bool,
     },
-    "coolpim-bench-sim/5": {
+    "coolpim-bench-sim/6": {
         "quick": bool,
         "queue.events": NUM,
         "queue.wall_ms": NUM,
@@ -177,14 +177,6 @@ SCHEMAS = {
         "periodic.wall_ms": NUM,
         "periodic.events_per_sec": NUM,
         "periodic.ns_per_event": NUM,
-        "end_to_end.scale": NUM,
-        "end_to_end.workload_build_ms": NUM,
-        "end_to_end.total_wall_ms": NUM,
-        "end_to_end.runs[].workload": str,
-        "end_to_end.runs[].scenario": str,
-        "end_to_end.runs[].wall_ms": NUM,
-        "end_to_end.runs[].sim_time_ms": NUM,
-        "end_to_end.runs[].peak_dram_c": NUM,
         "backend.xval_epochs": NUM,
         "backend.xval_tolerance": NUM,
         "backend.xval[].kernel": str,
@@ -214,7 +206,7 @@ THROUGHPUT_KEYS = {
         "cache.warm_speedup_vs_serial",
         "csr.speedup",
     ],
-    "coolpim-bench-sim/5": [
+    "coolpim-bench-sim/6": [
         "queue.events_per_sec",
         "periodic.events_per_sec",
     ],
