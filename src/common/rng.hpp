@@ -5,8 +5,15 @@
 // generator so that runs are bit-reproducible across platforms -- std::mt19937
 // distributions are not guaranteed identical across standard libraries, so we
 // implement the distributions we need ourselves.
+//
+// RngJump moves a generator ahead by any number of draws in about a
+// microsecond, so a long stream can be cut into chunks that run in parallel
+// and still consume exactly the draws a sequential walk would
+// (graph::make_rmat samples its edges that way).
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -32,6 +39,8 @@ class SplitMix64 {
   std::uint64_t state_;
 };
 
+class RngJump;
+
 /// Xoshiro256** -- fast, high-quality, 2^256-1 period.
 class Rng {
  public:
@@ -44,15 +53,14 @@ class Rng {
 
   std::uint64_t next_u64() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
+    transition(s_);
     return result;
   }
+
+  /// Move the state ahead by the draws `jump` was built for, exactly as that
+  /// many next_u64() calls would.  The normal cached by next_normal() is not
+  /// touched.
+  void advance(const RngJump& jump);
 
   /// Uniform double in [0, 1).
   double next_double() {
@@ -112,13 +120,86 @@ class Rng {
   }
 
  private:
+  friend class RngJump;
+  using State = std::array<std::uint64_t, 4>;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
 
-  std::uint64_t s_[4]{};
+  /// The xoshiro256 state update, linear over GF(2)^256: XORs, one shift and
+  /// one rotation.
+  static constexpr void transition(State& s) {
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+  }
+
+  State s_{};
   double cached_{0.0};
   bool have_cached_{false};
 };
+
+/// Jump-ahead by a fixed number of draws.  Rng's state transition T is a
+/// 256x256 matrix over GF(2), so k draws are the product T^k applied to the
+/// state.  The constructor builds T^k by square-and-multiply (about 1 ms for
+/// 2^20 draws); Rng::advance() then costs one matrix-vector product, under
+/// a microsecond.  The matrix is stored as its 256 columns, 8 KiB.  `draws`
+/// may be anything below 2^128; 2^128 - 1 followed by one next_u64() is
+/// Vigna's jump().
+class RngJump {
+ public:
+  explicit RngJump(__uint128_t draws) {
+    Matrix base{};
+    for (unsigned i = 0; i < kBits; ++i) {
+      base[i] = unit(i);
+      Rng::transition(base[i]);
+    }
+    for (unsigned i = 0; i < kBits; ++i) power_[i] = unit(i);
+    while (draws != 0) {
+      if ((draws & 1) != 0) power_ = product(power_, base);
+      draws >>= 1;
+      if (draws != 0) base = product(base, base);
+    }
+  }
+
+ private:
+  friend class Rng;
+  using State = Rng::State;
+  static constexpr unsigned kBits = 256;
+  using Matrix = std::array<State, kBits>;  // column i = image of state bit i
+
+  static State unit(unsigned bit) {
+    State s{};
+    s[bit / 64] = std::uint64_t{1} << (bit % 64);
+    return s;
+  }
+
+  /// m * v: the XOR of the columns selected by v's set bits.
+  static State apply(const Matrix& m, const State& v) {
+    State r{};
+    for (unsigned w = 0; w < 4; ++w) {
+      for (std::uint64_t bits = v[w]; bits != 0; bits &= bits - 1) {
+        const State& col = m[w * 64 + static_cast<unsigned>(std::countr_zero(bits))];
+        for (unsigned k = 0; k < 4; ++k) r[k] ^= col[k];
+      }
+    }
+    return r;
+  }
+
+  static Matrix product(const Matrix& a, const Matrix& b) {
+    Matrix c{};
+    for (unsigned j = 0; j < kBits; ++j) c[j] = apply(a, b[j]);
+    return c;
+  }
+
+  Matrix power_{};
+};
+
+inline void Rng::advance(const RngJump& jump) { s_ = RngJump::apply(jump.power_, s_); }
 
 }  // namespace coolpim

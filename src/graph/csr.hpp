@@ -61,6 +61,8 @@ class CsrGraph {
 
   [[nodiscard]] const std::vector<EdgeId>& row_ptr() const { return row_ptr_; }
   [[nodiscard]] const std::vector<VertexId>& col_idx() const { return col_idx_; }
+  /// Edge weights in col_idx() order; empty for an unweighted graph.
+  [[nodiscard]] const std::vector<std::uint32_t>& weights() const { return weights_; }
 
   /// Maximum out-degree (used by divergence estimation and Eq. 1 inputs).
   [[nodiscard]] std::uint32_t max_degree() const;

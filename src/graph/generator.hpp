@@ -12,6 +12,9 @@
 
 namespace coolpim::graph {
 
+/// Quadrant probabilities a, b and c must each be finite and in [0, 1] with
+/// a + b + c <= 1; a weighted graph needs max_weight >= 1.  make_rmat()
+/// throws ConfigError naming the field otherwise.
 struct RmatParams {
   double a{0.57};
   double b{0.19};
@@ -19,12 +22,16 @@ struct RmatParams {
   // d = 1 - a - b - c
   bool scramble_ids{true};  // avoid degree locality artifacts
   bool weighted{true};
-  std::uint32_t max_weight{64};
+  std::uint32_t max_weight{64};  // weights are uniform in [1, max_weight]
 };
 
 /// RMAT graph with 2^scale vertices and edge_factor * 2^scale edges.
-/// Edge sampling is a sequential RNG walk; the CSR build fans out over
-/// `pool` when given (bit-identical output at any jobs count).
+/// The graph is that of one sequential RNG walk: ID scramble, `scale` draws
+/// per edge, then one weight per edge.  The edges are sampled in fixed
+/// chunks of 2^16, each started from the walk's state by an RngJump, so the
+/// sampling and the CSR build fan out over `pool` when given, with
+/// bit-identical output at any jobs count.  The scramble and the weights
+/// stay serial.
 [[nodiscard]] CsrGraph make_rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
                                  const RmatParams& params = {},
                                  runner::Pool* pool = nullptr);

@@ -4,9 +4,13 @@
 #include "common/error.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "graph/generator.hpp"
+#include "runner/pool.hpp"
+#include "support/rmat_reference.hpp"
 
 namespace coolpim::graph {
 namespace {
@@ -44,6 +48,17 @@ TEST(RmatTest, UnweightedOption) {
   EXPECT_FALSE(g.has_weights());
 }
 
+/// Expects make_rmat(8, 4, 5, p) to throw a ConfigError whose message
+/// contains `field`.
+void expect_rejected(const RmatParams& p, const std::string& field) {
+  try {
+    (void)make_rmat(8, 4, 5, p);
+    ADD_FAILURE() << "accepted bad " << field;
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string{e.what()}.find(field), std::string::npos) << e.what();
+  }
+}
+
 TEST(RmatTest, InvalidProbabilitiesThrow) {
   RmatParams p;
   p.a = 0.8;
@@ -51,6 +66,59 @@ TEST(RmatTest, InvalidProbabilitiesThrow) {
   p.c = 0.2;  // a+b+c > 1
   EXPECT_THROW(make_rmat(8, 4, 5, p), ConfigError);
   EXPECT_THROW(make_rmat(0, 4, 5), ConfigError);
+
+  // Each of a, b and c must be a finite probability, even when the sum
+  // stays <= 1 (a negative one would wrap a quadrant threshold).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {-0.1, 1.5, nan, inf, -inf}) {
+    SCOPED_TRACE(bad);
+    expect_rejected({.a = bad, .b = 0.6, .c = 0.3}, "rmat a");
+    expect_rejected({.a = 0.3, .b = bad, .c = 0.3}, "rmat b");
+    expect_rejected({.a = 0.3, .b = 0.3, .c = bad}, "rmat c");
+  }
+  // Probabilities at the ends of [0, 1] are fine.
+  EXPECT_NO_THROW((void)make_rmat(8, 4, 5, {.a = 1.0, .b = 0.0, .c = 0.0}));
+  EXPECT_NO_THROW((void)make_rmat(8, 4, 5, {.a = 0.0, .b = 0.0, .c = 0.0}));
+}
+
+TEST(RmatTest, ZeroMaxWeightThrowsOnlyWhenWeighted) {
+  expect_rejected({.max_weight = 0}, "max_weight");
+  const CsrGraph g = make_rmat(8, 4, 5, {.weighted = false, .max_weight = 0});
+  EXPECT_FALSE(g.has_weights());
+}
+
+// The chunked, jump-ahead sampler against the sequential walk it replaced,
+// bit for bit: fewer edges than one 2^16 chunk, exactly one chunk, several,
+// and a count that is not a multiple of the chunk; every pool width.
+TEST(RmatTest, ChunkedSamplingMatchesSequentialWalk) {
+  runner::Pool pool1{1}, pool2{2}, pool3{3}, pool8{8};
+  runner::Pool* const pools[] = {nullptr, &pool1, &pool2, &pool3, &pool8};
+  for (const unsigned scale : {1u, 5u, 10u, 12u, 14u}) {
+    for (const unsigned edge_factor : {0u, 1u, 5u, 16u}) {
+      for (const bool scramble : {true, false}) {
+        for (const bool weighted : {true, false}) {
+          for (const std::uint32_t max_weight : {64u, 10u}) {
+            const RmatParams p{.scramble_ids = scramble, .weighted = weighted,
+                               .max_weight = max_weight};
+            const std::uint64_t seed = 100 + scale + edge_factor;
+            const CsrGraph want = reference_rmat(scale, edge_factor, seed, p);
+            for (runner::Pool* pool : pools) {
+              SCOPED_TRACE(::testing::Message()
+                           << "scale " << scale << " ef " << edge_factor << " scramble "
+                           << scramble << " weighted " << weighted << " max_weight "
+                           << max_weight << " jobs " << (pool ? pool->size() : 0));
+              const CsrGraph got = make_rmat(scale, edge_factor, seed, p, pool);
+              ASSERT_EQ(got.row_ptr(), want.row_ptr());
+              ASSERT_EQ(got.col_idx(), want.col_idx());
+              ASSERT_EQ(got.weights(), want.weights());
+              ASSERT_EQ(got.degrees(), want.degrees());
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(RmatTest, WeightsInRange) {
