@@ -35,6 +35,8 @@ struct IterationProfile {
   // Execution behaviour.
   std::uint64_t compute_warp_instructions{0};  // non-memory warp instructions
   double divergent_warp_ratio{0.0};            // fraction of warps that diverge
+
+  bool operator==(const IterationProfile&) const = default;
 };
 
 /// A complete workload: sequence of kernel launches plus identity metadata.
@@ -51,6 +53,8 @@ struct WorkloadProfile {
   /// Checksum of the functional result (levels/distances/ranks), so tests can
   /// verify every variant computes the same answer.
   std::uint64_t result_checksum{0};
+
+  bool operator==(const WorkloadProfile&) const = default;
 
   [[nodiscard]] std::uint64_t total_edges() const {
     std::uint64_t s = 0;

@@ -3,8 +3,12 @@
 //
 // Each run_* function executes the algorithm and returns a WorkloadProfile:
 // the functional result checksum plus per-kernel-launch instruction/memory/
-// atomic counts that the GPU timing model replays.  Variant naming follows
-// the paper's Fig. 10 labels:
+// atomic counts that the GPU timing model replays.  The BFS variants share
+// one traversal, and so do the SSSP variants: only the accounting and the
+// SIMT costing depend on the variant, so run_bfs/run_sssp take a list of
+// variants and return one profile per variant from a single traversal (the
+// single-variant forms are wrappers).  Variant naming follows the paper's
+// Fig. 10 labels:
 //   bfs-ta   topology-driven, thread-centric, blind atomic per edge
 //   bfs-ttc  topology-driven, thread-centric, check-then-atomic
 //   bfs-twc  topology-driven, warp-centric
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.hpp"
@@ -29,6 +34,11 @@ enum class BfsVariant { kTopologyAtomic, kTopologyThreadCentric, kTopologyWarpCe
                         kDataWarpCentric };
 enum class SsspVariant { kDataThreadCentric, kDataWarpCentric, kTopologyWarpCentric };
 
+/// One traversal from `source`; profile k describes variants[k].
+[[nodiscard]] std::vector<WorkloadProfile> run_bfs(const CsrGraph& g, VertexId source,
+                                                   std::span<const BfsVariant> variants);
+[[nodiscard]] std::vector<WorkloadProfile> run_sssp(const CsrGraph& g, VertexId source,
+                                                    std::span<const SsspVariant> variants);
 [[nodiscard]] WorkloadProfile run_bfs(const CsrGraph& g, VertexId source, BfsVariant variant);
 [[nodiscard]] WorkloadProfile run_sssp(const CsrGraph& g, VertexId source, SsspVariant variant);
 [[nodiscard]] WorkloadProfile run_pagerank(const CsrGraph& g, unsigned iterations = 10);

@@ -1,6 +1,9 @@
 #include "sys/workloads.hpp"
 
 #include <cstdlib>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "graph/generator.hpp"
@@ -27,23 +30,52 @@ const std::vector<std::string>& extended_workload_names() {
 
 namespace {
 
-graph::WorkloadProfile compute_profile(const graph::CsrGraph& g, graph::VertexId source,
-                                       const std::string& name) {
+std::optional<graph::BfsVariant> bfs_variant(const std::string& name) {
   using graph::BfsVariant;
+  if (name == "bfs-ta") return BfsVariant::kTopologyAtomic;
+  if (name == "bfs-dwc") return BfsVariant::kDataWarpCentric;
+  if (name == "bfs-ttc") return BfsVariant::kTopologyThreadCentric;
+  if (name == "bfs-twc") return BfsVariant::kTopologyWarpCentric;
+  return std::nullopt;
+}
+
+std::optional<graph::SsspVariant> sssp_variant(const std::string& name) {
   using graph::SsspVariant;
-  if (name == "dc") return graph::run_degree_centrality(g);
-  if (name == "kcore") return graph::run_kcore(g);
-  if (name == "pagerank") return graph::run_pagerank(g);
-  if (name == "bfs-ta") return graph::run_bfs(g, source, BfsVariant::kTopologyAtomic);
-  if (name == "bfs-dwc") return graph::run_bfs(g, source, BfsVariant::kDataWarpCentric);
-  if (name == "bfs-ttc") return graph::run_bfs(g, source, BfsVariant::kTopologyThreadCentric);
-  if (name == "bfs-twc") return graph::run_bfs(g, source, BfsVariant::kTopologyWarpCentric);
-  if (name == "sssp-dtc") return graph::run_sssp(g, source, SsspVariant::kDataThreadCentric);
-  if (name == "sssp-dwc") return graph::run_sssp(g, source, SsspVariant::kDataWarpCentric);
-  if (name == "sssp-twc") return graph::run_sssp(g, source, SsspVariant::kTopologyWarpCentric);
-  if (name == "cc") return graph::run_connected_components(g);
-  if (name == "tc") return graph::run_triangle_count(g);
-  throw ConfigError("unknown workload: " + name);
+  if (name == "sssp-dtc") return SsspVariant::kDataThreadCentric;
+  if (name == "sssp-dwc") return SsspVariant::kDataWarpCentric;
+  if (name == "sssp-twc") return SsspVariant::kTopologyWarpCentric;
+  return std::nullopt;
+}
+
+/// The traversal a workload's profile comes from: the BFS variants share
+/// one, and so do the SSSP variants; every other workload has its own.
+std::string traversal_of(const std::string& name) {
+  if (bfs_variant(name)) return "bfs";
+  if (sssp_variant(name)) return "sssp";
+  return name;
+}
+
+/// Profiles of `names`, which all share one traversal, in order.
+std::vector<graph::WorkloadProfile> run_traversal(const graph::CsrGraph& g,
+                                                  graph::VertexId source,
+                                                  std::span<const std::string> names) {
+  const std::string traversal = traversal_of(names.front());
+  if (traversal == "bfs") {
+    std::vector<graph::BfsVariant> variants;
+    for (const auto& name : names) variants.push_back(*bfs_variant(name));
+    return graph::run_bfs(g, source, variants);
+  }
+  if (traversal == "sssp") {
+    std::vector<graph::SsspVariant> variants;
+    for (const auto& name : names) variants.push_back(*sssp_variant(name));
+    return graph::run_sssp(g, source, variants);
+  }
+  if (traversal == "dc") return {graph::run_degree_centrality(g)};
+  if (traversal == "kcore") return {graph::run_kcore(g)};
+  if (traversal == "pagerank") return {graph::run_pagerank(g)};
+  if (traversal == "cc") return {graph::run_connected_components(g)};
+  if (traversal == "tc") return {graph::run_triangle_count(g)};
+  throw ConfigError("unknown workload: " + traversal);
 }
 
 /// A cache entry is only trusted if it describes exactly this set: same
@@ -111,13 +143,27 @@ WorkloadSet::WorkloadSet(unsigned scale, std::uint64_t seed, bool include_extend
   }
 
   if (!loaded) {
-    // Each run writes its own pre-sized slot: output order is the name-list
-    // order regardless of completion order, and every run is a pure function
-    // of the shared const graph, so the profiles (checksums included) are
-    // bit-identical at any jobs count.
+    // One task per traversal, in name order: each run of consecutive names
+    // that share a traversal (the four BFS variants, the three SSSP
+    // variants) is one task.  Each task writes its own pre-sized slots, so
+    // output order is the name-list order regardless of completion order,
+    // and every task is a pure function of the shared const graph: the
+    // profiles (checksums included) are bit-identical at any jobs count.
+    // The tasks are not reordered by cost: submitting the longest first
+    // raised peak RSS (glibc arenas keep the freed profiling buffers).
+    std::vector<std::size_t> task_begin;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (i == 0 || traversal_of(names[i]) != traversal_of(names[i - 1])) task_begin.push_back(i);
+    }
+    task_begin.push_back(names.size());
     profiles_.resize(names.size());
-    pool.parallel_for(names.size(), [&](std::size_t i) {
-      profiles_[i] = compute_profile(graph_, source, names[i]);
+    pool.parallel_for(task_begin.size() - 1, [&](std::size_t t) {
+      const std::size_t begin = task_begin[t];
+      auto computed = run_traversal(graph_, source,
+                                    std::span{names}.subspan(begin, task_begin[t + 1] - begin));
+      for (std::size_t k = 0; k < computed.size(); ++k) {
+        profiles_[begin + k] = std::move(computed[k]);
+      }
     });
     stats_.profiles_computed = names.size();
     if (!cache_dir.empty()) stats_.cache_stored = save_profiles(cache_dir, key, profiles_);

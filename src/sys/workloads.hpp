@@ -1,14 +1,16 @@
 // Workload registry: the paper's ten GraphBIG workloads on the LDBC-like
 // graph, generated and profiled once and shared across scenario runs.
 //
-// Construction is the profiling fast path: the CSR build fans out over a
-// runner::Pool, the traversal source comes from the cached degree table, and
-// the independent workload profiling runs execute in parallel into fixed
-// output slots -- bit-identical to a jobs = 1 build (serial CSR, one
-// workload after another) at any jobs count.  With COOLPIM_PROFILE_CACHE=<dir> set (or BuildOptions::cache_dir),
-// profiles are loaded from / saved to a persistent content-addressed cache
+// Construction is the profiling fast path: the RMAT edge sampling and the
+// CSR build fan out over a runner::Pool, the traversal source comes from the
+// cached degree table, and the profiling runs execute in parallel into fixed
+// output slots, one task per traversal (the BFS variants share one, as do
+// the SSSP variants) -- bit-identical to a jobs = 1 build (every step on
+// the caller, one traversal after another) at any jobs count.  With
+// COOLPIM_PROFILE_CACHE=<dir> set (or BuildOptions::cache_dir), profiles are
+// loaded from / saved to a persistent content-addressed cache
 // (sys/profile_cache.hpp) and warm runs skip the functional kernels
-// entirely.
+// entirely; the graph is always generated again.
 #pragma once
 
 #include <cstdint>

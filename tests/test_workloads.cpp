@@ -44,6 +44,34 @@ TEST_F(WorkloadFixture, SsspMatchesDijkstra) {
   }
 }
 
+// One traversal serves every variant of a family: each profile from the
+// full list equals the single-variant run's, whatever the list order.
+TEST_F(WorkloadFixture, FamilyTraversalMatchesSingleVariantRuns) {
+  const BfsVariant bfs[] = {BfsVariant::kTopologyAtomic, BfsVariant::kDataWarpCentric,
+                            BfsVariant::kTopologyThreadCentric,
+                            BfsVariant::kTopologyWarpCentric};
+  const auto bfs_family = run_bfs(graph(), hub(), bfs);
+  ASSERT_EQ(bfs_family.size(), std::size(bfs));
+  for (std::size_t k = 0; k < std::size(bfs); ++k) {
+    EXPECT_TRUE(bfs_family[k] == run_bfs(graph(), hub(), bfs[k])) << bfs_family[k].name;
+  }
+
+  const SsspVariant sssp[] = {SsspVariant::kDataThreadCentric, SsspVariant::kDataWarpCentric,
+                              SsspVariant::kTopologyWarpCentric};
+  const auto sssp_family = run_sssp(graph(), hub(), sssp);
+  ASSERT_EQ(sssp_family.size(), std::size(sssp));
+  for (std::size_t k = 0; k < std::size(sssp); ++k) {
+    EXPECT_TRUE(sssp_family[k] == run_sssp(graph(), hub(), sssp[k])) << sssp_family[k].name;
+  }
+
+  const BfsVariant reordered[] = {BfsVariant::kTopologyWarpCentric,
+                                  BfsVariant::kTopologyAtomic};
+  const auto pair = run_bfs(graph(), hub(), reordered);
+  ASSERT_EQ(pair.size(), 2u);
+  EXPECT_TRUE(pair[0] == bfs_family[3]);
+  EXPECT_TRUE(pair[1] == bfs_family[0]);
+}
+
 TEST_F(WorkloadFixture, DegreeCentralityMatchesReference) {
   const auto ref = reference::in_degrees(graph());
   EXPECT_EQ(run_degree_centrality(graph()).result_checksum, checksum_vector(ref));
