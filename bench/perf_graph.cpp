@@ -4,17 +4,18 @@
 // Three measurements:
 //
 //  - construction: end-to-end sys::WorkloadSet build (RMAT graph + all ten
-//    GraphBIG profiling runs), at jobs = 1 (serial CSR build, one profiling
-//    run after another) vs. the pool-parallel fast path, with a field-by-field
-//    bit-equivalence check between the two (the acceptance contract:
-//    parallelism must never change a profile).
+//    GraphBIG profiles), at jobs = 1 (serial sampling and CSR build, one
+//    profiling traversal after another) vs. the pool-parallel fast path,
+//    with a field-by-field bit-equivalence check between the two (the
+//    acceptance contract: parallelism must never change a profile).
 //
 //  - cache: the same build against a fresh COOLPIM_PROFILE_CACHE directory,
 //    cold (computes + stores) then warm (every profile served from disk,
 //    zero functional kernel runs), with the hit/miss counters reported.
 //
-//  - csr: graph::make_ldbc_like alone, serial vs. pooled counting-sort
-//    build.
+//  - csr: graph::make_ldbc_like alone, without a pool vs. pooled: the
+//    chunked edge sampling and the counting-sort CSR build both fan out.
+//    bit_identical compares row_ptr, col_idx, weights and degrees.
 //
 // Flags: --out FILE (default BENCH_graph.json), --quick (CI smoke: small
 // scale), --scale N (override), --jobs N (parallel width, default
@@ -34,38 +35,6 @@
 #include "perf_support.hpp"
 
 using namespace coolpim;
-
-namespace {
-
-bool profiles_equal(const std::vector<graph::WorkloadProfile>& a,
-                    const std::vector<graph::WorkloadProfile>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const auto& x = a[i];
-    const auto& y = b[i];
-    if (x.name != y.name || x.driver != y.driver || x.parallelism != y.parallelism ||
-        x.atomic_kind != y.atomic_kind || x.graph_vertices != y.graph_vertices ||
-        x.graph_edges != y.graph_edges || x.result_checksum != y.result_checksum ||
-        x.iterations.size() != y.iterations.size()) {
-      return false;
-    }
-    for (std::size_t j = 0; j < x.iterations.size(); ++j) {
-      const auto& p = x.iterations[j];
-      const auto& q = y.iterations[j];
-      if (p.scanned_vertices != q.scanned_vertices || p.active_vertices != q.active_vertices ||
-          p.edges_processed != q.edges_processed || p.work_threads != q.work_threads ||
-          p.struct_scan_bytes != q.struct_scan_bytes || p.property_reads != q.property_reads ||
-          p.property_writes != q.property_writes || p.atomic_ops != q.atomic_ops ||
-          p.compute_warp_instructions != q.compute_warp_instructions ||
-          p.divergent_warp_ratio != q.divergent_warp_ratio) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bench::Args args{argc, argv, {"--out", "--scale", "--jobs"}, {"--quick"}};
@@ -90,7 +59,7 @@ int main(int argc, char** argv) {
   clock.restart();
   const sys::WorkloadSet parallel_set{scale, seed, false, parallel_opt};
   const double parallel_ms = clock.elapsed_ms();
-  const bool match = profiles_equal(serial_set.all(), parallel_set.all());
+  const bool match = serial_set.all() == parallel_set.all();
 
   // --- cache: cold store, then warm all-hits build --------------------------
   const auto cache_dir =
@@ -112,7 +81,7 @@ int main(int argc, char** argv) {
   const auto& warm = warm_set.build_stats();
   const bool warm_all_hits = warm.cache_hits == warm_set.all().size() &&
                              warm.profiles_computed == 0 &&
-                             profiles_equal(warm_set.all(), serial_set.all());
+                             warm_set.all() == serial_set.all();
   std::error_code ec;
   std::filesystem::remove_all(cache_dir, ec);
 
@@ -125,7 +94,9 @@ int main(int argc, char** argv) {
   const auto g_parallel = graph::make_ldbc_like(scale, seed, &pool);
   const double csr_parallel_ms = clock.elapsed_ms();
   const bool csr_match = g_serial.row_ptr() == g_parallel.row_ptr() &&
-                         g_serial.col_idx() == g_parallel.col_idx();
+                         g_serial.col_idx() == g_parallel.col_idx() &&
+                         g_serial.weights() == g_parallel.weights() &&
+                         g_serial.degrees() == g_parallel.degrees();
 
   bench::JsonWriter json;
   json.kv("schema", "coolpim-bench-graph/1");

@@ -8,6 +8,7 @@
 #include <optional>
 #include <unordered_set>
 
+#include "common/error.hpp"
 #include "obs/observer.hpp"
 #include "runner/experiment.hpp"
 
@@ -79,6 +80,20 @@ void init_observability(int* argc, char** argv) {
   auto& rc = mutable_run_config();
   rc = sys::RunConfig::from_args(argc, argv, rc);
   obs_state().refresh();
+}
+
+void init_strict(int argc, char** argv) {
+  const char* prog = argc > 0 ? argv[0] : "bench";
+  try {
+    init_observability(&argc, argv);
+  } catch (const ConfigError& e) {
+    std::cerr << prog << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+  if (argc > 1) {
+    std::cerr << prog << ": unknown option: " << argv[1] << "\n";
+    std::exit(2);
+  }
 }
 
 unsigned bench_scale() { return run_config().scale; }

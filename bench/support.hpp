@@ -61,4 +61,11 @@ struct ScenarioRow {
 /// when the process exits.  Schema: docs/OBSERVABILITY.md.
 void init_observability(int* argc, char** argv);
 
+/// init_observability() for a bench without a google-benchmark phase, which
+/// has no other use for argv: the first argument RunConfig::from_args()
+/// leaves unconsumed prints "unknown option: ARG" and exits 2, and so does
+/// a malformed RunConfig flag or COOLPIM_* value (naming it), so a typo
+/// never runs the tables at silent defaults.
+void init_strict(int argc, char** argv);
+
 }  // namespace coolpim::bench
