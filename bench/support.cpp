@@ -77,21 +77,20 @@ sys::SystemConfig with_process_faults(sys::SystemConfig base) {
 const sys::RunConfig& run_config() { return mutable_run_config(); }
 
 void init_observability(int* argc, char** argv) {
-  auto& rc = mutable_run_config();
-  rc = sys::RunConfig::from_args(argc, argv, rc);
+  try {
+    auto& rc = mutable_run_config();
+    rc = sys::RunConfig::from_args(argc, argv, rc);
+  } catch (const ConfigError& e) {
+    std::cerr << (*argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
+    std::exit(2);
+  }
   obs_state().refresh();
 }
 
 void init_strict(int argc, char** argv) {
-  const char* prog = argc > 0 ? argv[0] : "bench";
-  try {
-    init_observability(&argc, argv);
-  } catch (const ConfigError& e) {
-    std::cerr << prog << ": " << e.what() << "\n";
-    std::exit(2);
-  }
+  init_observability(&argc, argv);
   if (argc > 1) {
-    std::cerr << prog << ": unknown option: " << argv[1] << "\n";
+    std::cerr << argv[0] << ": unknown option: " << argv[1] << "\n";
     std::exit(2);
   }
 }

@@ -58,13 +58,14 @@ struct ScenarioRow {
 /// call.  Each *distinct* experiment the bench runs is recorded once (keyed
 /// by runner::experiment_key, so a baseline several tables share is served
 /// from the result cache instead of re-traced), and the files are written
-/// when the process exits.  Schema: docs/OBSERVABILITY.md.
+/// when the process exits.  Schema: docs/OBSERVABILITY.md.  A malformed
+/// RunConfig flag or COOLPIM_* value prints the ConfigError naming it and
+/// exits 2.
 void init_observability(int* argc, char** argv);
 
 /// init_observability() for a bench without a google-benchmark phase, which
 /// has no other use for argv: the first argument RunConfig::from_args()
-/// leaves unconsumed prints "unknown option: ARG" and exits 2, and so does
-/// a malformed RunConfig flag or COOLPIM_* value (naming it), so a typo
+/// leaves unconsumed prints "unknown option: ARG" and exits 2, so a typo
 /// never runs the tables at silent defaults.
 void init_strict(int argc, char** argv);
 
