@@ -53,7 +53,7 @@ class WorkloadSet {
   struct BuildStats {
     std::uint64_t cache_hits{0};        // profiles served from the cache
     std::uint64_t cache_misses{0};      // cache consulted but unusable
-    std::uint64_t profiles_computed{0}; // functional kernel runs executed
+    std::uint64_t profiles_computed{0}; // profiles the kernels computed
     bool cache_stored{false};           // a fresh entry was written
     unsigned jobs{1};                   // pool width used
   };
