@@ -42,7 +42,7 @@ void print_alternatives() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_strict(argc, argv);
+  coolpim::bench::init(argc, argv);
   print_alternatives();
   return 0;
 }

@@ -45,7 +45,7 @@ void print_cf_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_strict(argc, argv);
+  coolpim::bench::init(argc, argv);
   print_cf_sweep();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Ablation: HMC device design options -- row-buffer policy and address
 // interleaving granularity -- measured on the event-detailed device with
 // streaming and random traffic (the two extremes graph workloads mix).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/rng.hpp"
@@ -41,7 +39,7 @@ TrafficResult run_traffic(bool open_page, bool streaming, int requests = 2000) {
   sim.run_to_completion();
   TrafficResult out;
   out.gbps = requests * 64.0 / done.as_sec() * 1e-9;
-  out.avg_latency_ns = dev.stats().summaries().at("latency_ns").mean();
+  out.avg_latency_ns = dev.latency_ns().mean();
   return out;
 }
 
@@ -74,21 +72,11 @@ void print_latency() {
   t.print(std::cout);
 }
 
-void BM_DeviceTraffic(benchmark::State& state) {
-  const bool open_page = state.range(0) != 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(run_traffic(open_page, false, 500).gbps);
-  }
-}
-BENCHMARK(BM_DeviceTraffic)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_page_policy();
   print_latency();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -53,7 +53,7 @@ void print_coalescing() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_strict(argc, argv);
+  coolpim::bench::init(argc, argv);
   print_offload_policy();
   print_coalescing();
   return 0;

@@ -66,7 +66,7 @@ void print_epoch_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_strict(argc, argv);
+  coolpim::bench::init(argc, argv);
   print_margin_sweep();
   print_target_sweep();
   print_epoch_sweep();

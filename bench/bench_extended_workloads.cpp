@@ -1,8 +1,6 @@
 // Extension: the six scenarios on the cc / tc workloads (GraphBIG members
 // beyond the paper's evaluation set), demonstrating that CoolPIM generalizes
 // past the original ten kernels.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -45,23 +43,10 @@ void print_extended() {
                "workload-dependence the paper reports for kcore and sssp-dtc.\n";
 }
 
-void BM_ExtendedRun(benchmark::State& state) {
-  (void)extended_set();
-  for (auto _ : state) {
-    sys::SystemConfig cfg;
-    cfg.scenario = sys::Scenario::kCoolPimHw;
-    sys::System system{cfg};
-    benchmark::DoNotOptimize(system.run(extended_set().profile("cc")).exec_time);
-  }
-}
-BENCHMARK(BM_ExtendedRun)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_extended();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -48,7 +48,7 @@ void print_fig10() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_strict(argc, argv);
+  coolpim::bench::init(argc, argv);
   print_fig10();
   return 0;
 }

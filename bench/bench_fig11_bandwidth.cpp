@@ -1,7 +1,5 @@
 // Fig. 11: off-chip bandwidth consumption (total link traffic) normalized to
 // the non-offloading baseline.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -31,24 +29,10 @@ void print_fig11() {
          "bandwidth (~0.79x) but runs faster by staying in the normal phase.\n";
 }
 
-void BM_ConsumptionAccounting(benchmark::State& state) {
-  const auto& matrix = scenario_matrix();
-  for (auto _ : state) {
-    double acc = 0.0;
-    for (const auto& row : matrix) {
-      acc += row.normalized_consumption(sys::Scenario::kCoolPimHw);
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_ConsumptionAccounting);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_fig11();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

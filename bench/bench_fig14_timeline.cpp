@@ -66,7 +66,7 @@ void print_fig14() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_strict(argc, argv);
+  coolpim::bench::init(argc, argv);
   print_fig14();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Fig. 2: thermal model validation -- measured surface temperature vs die
 // temperature estimated from the surface vs die temperature from the model,
 // for the low-end and high-end module heat sinks at full HMC 1.1 load.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <iostream>
 
@@ -47,26 +45,10 @@ void print_fig2() {
                "camera measurement (paper: \"a reasonable error compared to the real system\").\n";
 }
 
-void BM_ValidationSolve(benchmark::State& state) {
-  const hmc::LinkModel link{hmc::hmc11_config()};
-  const auto pb =
-      power::compute_power(power::EnergyParams{}, bench::read_traffic(link, 60.0));
-  for (auto _ : state) {
-    thermal::HmcThermalModel model{
-        thermal::hmc11_thermal_config(power::CoolingType::kLowEndActive, 30.0)};
-    model.apply_power(pb);
-    model.solve_steady();
-    benchmark::DoNotOptimize(model.peak_dram());
-  }
-}
-BENCHMARK(BM_ValidationSolve)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_fig2();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

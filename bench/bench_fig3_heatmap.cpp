@@ -1,7 +1,5 @@
 // Fig. 3: heat map at full bandwidth with a commodity-server sink -- the
 // 3D per-layer peaks and the 2D logic-layer map with vault-center hot spots.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <iostream>
 
@@ -56,51 +54,10 @@ void print_fig3() {
                "lowest DRAM die and the logic layer reach the highest temperatures.\n";
 }
 
-void BM_HeatmapExtraction(benchmark::State& state) {
-  const hmc::LinkModel link{hmc::hmc20_config()};
-  thermal::HmcThermalModel model{
-      thermal::hmc20_thermal_config(power::CoolingType::kCommodityServer)};
-  model.apply_power(
-      power::compute_power(power::EnergyParams{}, bench::read_traffic(link, 320.0)));
-  model.solve_steady();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.logic_heatmap());
-  }
-}
-BENCHMARK(BM_HeatmapExtraction);
-
-// Steady solves across the Fig. 3 bandwidth sweep: Arg(0) re-converges SOR
-// from ambient every point, Arg(1) superposes the cached unit responses (the
-// run path; filled by print_fig3 before the timed loop).  bench/perf_thermal
-// tracks the same comparison.
-void BM_Fig3SteadySweep(benchmark::State& state) {
-  const bool superposed = state.range(0) != 0;
-  const hmc::LinkModel link{hmc::hmc20_config()};
-  const power::EnergyParams ep;
-  thermal::HmcThermalModel model{
-      thermal::hmc20_thermal_config(power::CoolingType::kCommodityServer)};
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    for (double bw = 0.0; bw <= 320.0; bw += 40.0) {
-      model.apply_power(power::compute_power(ep, bench::read_traffic(link, bw)));
-      if (superposed) {
-        model.solve_steady();
-      } else {
-        iters += model.solve_steady(thermal::SteadyStart::kCold);
-      }
-    }
-  }
-  state.counters["iters_per_sweep"] =
-      benchmark::Counter(static_cast<double>(iters) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_Fig3SteadySweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_fig3();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,5 @@
 // Fig. 4: peak DRAM temperature vs data bandwidth (0-320 GB/s) for the four
 // cooling solutions, HMC 2.0.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -48,29 +46,10 @@ void print_fig4() {
          "the HMC operating range is 0-105 C, which the passive curve exceeds early.\n";
 }
 
-void BM_Fig4Sweep(benchmark::State& state) {
-  const hmc::LinkModel link{hmc::hmc20_config()};
-  const power::EnergyParams ep;
-  for (auto _ : state) {
-    thermal::HmcThermalModel model{
-        thermal::hmc20_thermal_config(power::CoolingType::kCommodityServer)};
-    double acc = 0.0;
-    for (double bw = 0.0; bw <= 320.0; bw += 80.0) {
-      model.apply_power(power::compute_power(ep, bench::read_traffic(link, bw)));
-      model.solve_steady();
-      acc += model.peak_dram().value();
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-}
-BENCHMARK(BM_Fig4Sweep)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_fig4();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

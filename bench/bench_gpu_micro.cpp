@@ -2,8 +2,6 @@
 // (roofline) and PIM vs read/write-pair throughput, measured on the
 // event-detailed warp model driving the event-detailed HMC device.
 // Substantiates the epoch model's latency-hiding and FLIT-cost assumptions.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -66,23 +64,11 @@ void print_pim_throughput() {
   t.print(std::cout);
 }
 
-void BM_DetailedWarps(benchmark::State& state) {
-  const auto warps = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const auto r = run_config(warps, hmc::TransactionType::kRead64, 2);
-    benchmark::DoNotOptimize(r.achieved_gbps);
-    state.counters["sim_gbps"] = r.achieved_gbps;
-  }
-}
-BENCHMARK(BM_DetailedWarps)->Arg(16)->Arg(256)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_occupancy_roofline();
   print_pim_throughput();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

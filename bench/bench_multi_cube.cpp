@@ -1,7 +1,5 @@
 // Extension: CoolPIM on multi-cube systems (the prototype platform carries
 // up to six modules).  Sweeps cube count and hub-traffic skew.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "common/table.hpp"
@@ -68,24 +66,11 @@ void print_skew() {
                "per-response ERRSTAT transport makes that per-cube feedback free.\n";
 }
 
-void BM_MultiCubeRun(benchmark::State& state) {
-  (void)workloads();
-  const auto cubes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        run_cubes(cubes, 1.0 / static_cast<double>(cubes), sys::Scenario::kCoolPimHw)
-            .aggregate.exec_time);
-  }
-}
-BENCHMARK(BM_MultiCubeRun)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_scaling();
   print_skew();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

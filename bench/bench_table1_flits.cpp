@@ -1,8 +1,5 @@
-// Table I: HMC memory transaction bandwidth requirement in FLITs, plus
-// google-benchmark measurements of the event-detailed device's service rates
-// per transaction type.
-#include <benchmark/benchmark.h>
-
+// Table I: HMC memory transaction bandwidth requirement in FLITs, plus the
+// event-detailed device's simulated service time per transaction type.
 #include <iostream>
 
 #include "common/table.hpp"
@@ -15,12 +12,14 @@ using namespace coolpim;
 
 namespace {
 
+constexpr hmc::TransactionType kTypes[] = {
+    hmc::TransactionType::kRead64, hmc::TransactionType::kWrite64,
+    hmc::TransactionType::kPimNoReturn, hmc::TransactionType::kPimWithReturn};
+
 void print_table1() {
   Table t{"Table I -- HMC memory transaction bandwidth requirement in FLITs (FLIT = 128 bit)"};
   t.header({"Type", "Request", "Response", "Total bytes"});
-  for (const auto type :
-       {hmc::TransactionType::kRead64, hmc::TransactionType::kWrite64,
-        hmc::TransactionType::kPimNoReturn, hmc::TransactionType::kPimWithReturn}) {
+  for (const auto type : kTypes) {
     const auto cost = hmc::flit_cost(type);
     t.row({std::string(hmc::to_string(type)), std::to_string(cost.request) + " FLITs",
            std::to_string(cost.response) + " FLITs", std::to_string(cost.total_bytes())});
@@ -31,35 +30,29 @@ void print_table1() {
             << "% of the link FLITs per update (paper Section II-B).\n";
 }
 
-void BM_DeviceTransaction(benchmark::State& state, hmc::TransactionType type) {
-  for (auto _ : state) {
+// Simulated time the event-detailed HMC 2.0 device takes per request when
+// 1,000 requests of one type arrive back to back.
+void print_service_time() {
+  constexpr int kRequests = 1000;
+  Table t{"Event-detailed HMC 2.0 device -- simulated time per request (1,000 back to back)"};
+  t.header({"Type", "Per request (ns)"});
+  for (const auto type : kTypes) {
     sim::Simulation sim;
     hmc::Device dev{sim, hmc::hmc20_config()};
-    constexpr int kOps = 1000;
-    int done = 0;
-    for (int i = 0; i < kOps; ++i) {
-      dev.submit({type, static_cast<std::uint64_t>(i) * 64, 0},
-                 [&](const hmc::Response&) { ++done; });
+    for (int i = 0; i < kRequests; ++i) {
+      dev.submit({type, static_cast<std::uint64_t>(i) * 64, 0}, [](const hmc::Response&) {});
     }
     sim.run_to_completion();
-    benchmark::DoNotOptimize(done);
-    state.counters["flits_per_op"] =
-        static_cast<double>(hmc::flit_cost(type).total());
-    state.counters["sim_ns_per_op"] = sim.now().as_ns() / kOps;
+    t.row({std::string(hmc::to_string(type)), Table::num(sim.now().as_ns() / kRequests, 6)});
   }
+  t.print(std::cout);
 }
-
-BENCHMARK_CAPTURE(BM_DeviceTransaction, read64, hmc::TransactionType::kRead64);
-BENCHMARK_CAPTURE(BM_DeviceTransaction, write64, hmc::TransactionType::kWrite64);
-BENCHMARK_CAPTURE(BM_DeviceTransaction, pim_no_return, hmc::TransactionType::kPimNoReturn);
-BENCHMARK_CAPTURE(BM_DeviceTransaction, pim_with_return, hmc::TransactionType::kPimWithReturn);
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  coolpim::bench::init_observability(&argc, argv);
+  coolpim::bench::init(argc, argv);
   print_table1();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  print_service_time();
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "support.hpp"
 
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -17,7 +16,7 @@ namespace coolpim::bench {
 namespace {
 
 /// Single mutable slot behind run_config(): COOLPIM_* environment at first
-/// use, --flags overlaid by init_observability() before anything consumes it.
+/// use, --flags overlaid by init() before anything consumes it.
 sys::RunConfig& mutable_run_config() {
   static sys::RunConfig rc = sys::RunConfig::from_env();
   return rc;
@@ -76,23 +75,20 @@ sys::SystemConfig with_process_faults(sys::SystemConfig base) {
 
 const sys::RunConfig& run_config() { return mutable_run_config(); }
 
-void init_observability(int* argc, char** argv) {
+void init(int argc, char** argv) {
+  const char* self = argc > 0 ? argv[0] : "bench";
   try {
     auto& rc = mutable_run_config();
-    rc = sys::RunConfig::from_args(argc, argv, rc);
+    rc = sys::RunConfig::from_args(&argc, argv, rc);
   } catch (const ConfigError& e) {
-    std::cerr << (*argc > 0 ? argv[0] : "bench") << ": " << e.what() << "\n";
+    std::cerr << self << ": " << e.what() << "\n";
+    std::exit(2);
+  }
+  if (argc > 1) {
+    std::cerr << self << ": unknown option: " << argv[1] << "\n";
     std::exit(2);
   }
   obs_state().refresh();
-}
-
-void init_strict(int argc, char** argv) {
-  init_observability(&argc, argv);
-  if (argc > 1) {
-    std::cerr << argv[0] << ": unknown option: " << argv[1] << "\n";
-    std::exit(2);
-  }
 }
 
 unsigned bench_scale() { return run_config().scale; }

@@ -1,7 +1,6 @@
-// Shared infrastructure for the reproduction benches: every bench binary
-// prints its paper table/figure (some then run google-benchmark micro
-// measurements), so `for b in build/bench/*; do $b; done` regenerates the
-// whole evaluation.
+// Shared infrastructure for the reproduction benches: every table bench
+// prints its paper table/figure, so `for b in build/bench/*; do $b; done`
+// regenerates the whole evaluation.
 #pragma once
 
 #include <map>
@@ -14,13 +13,13 @@
 namespace coolpim::bench {
 
 /// The process-wide run configuration: COOLPIM_* environment at first use,
-/// with any --flags overlaid by init_observability().  Every bench knob
-/// (scale, jobs, observability sinks, fault environment) resolves through
-/// this one sys::RunConfig.
+/// with any --flags overlaid by init().  Every bench knob (scale, jobs,
+/// observability sinks, fault environment) resolves through this one
+/// sys::RunConfig.
 [[nodiscard]] const sys::RunConfig& run_config();
 
-/// Graph scale used by the full-system benches (run_config().scale, clamped
-/// to the bench-supported [8, 24] range; override with COOLPIM_SCALE).
+/// Graph scale used by the full-system benches (run_config().scale; set with
+/// COOLPIM_SCALE or --scale, and a value outside [8, 24] exits 2).
 [[nodiscard]] unsigned bench_scale();
 
 /// Lazily-built workload set shared within one bench process.
@@ -51,22 +50,16 @@ struct ScenarioRow {
 [[nodiscard]] sys::RunResult run_one(const std::string& workload, sys::Scenario scenario,
                                      const sys::SystemConfig& base = {});
 
-/// Observability for bench binaries: call first in main() to strip
-/// `--trace FILE` / `--counters FILE` from argv (before
-/// benchmark::Initialize swallows the argument list); the COOLPIM_TRACE /
-/// COOLPIM_COUNTERS environment variables work for any bench without the
-/// call.  Each *distinct* experiment the bench runs is recorded once (keyed
-/// by runner::experiment_key, so a baseline several tables share is served
-/// from the result cache instead of re-traced), and the files are written
-/// when the process exits.  Schema: docs/OBSERVABILITY.md.  A malformed
-/// RunConfig flag or COOLPIM_* value prints the ConfigError naming it and
-/// exits 2.
-void init_observability(int* argc, char** argv);
-
-/// init_observability() for a bench without a google-benchmark phase, which
-/// has no other use for argv: the first argument RunConfig::from_args()
-/// leaves unconsumed prints "unknown option: ARG" and exits 2, so a typo
-/// never runs the tables at silent defaults.
-void init_strict(int argc, char** argv);
+/// Call first in main().  Overlays the RunConfig flags in argv (--scale,
+/// --jobs, --trace FILE, --counters FILE, ...) on the COOLPIM_* environment;
+/// a malformed value prints the ConfigError naming it, and the first
+/// argument RunConfig::from_args() does not take prints "unknown option:
+/// ARG"; both exit 2, so a typo never runs the tables at silent defaults.
+/// With a trace or counter file set (flag or COOLPIM_TRACE /
+/// COOLPIM_COUNTERS), each *distinct* experiment the bench runs is recorded
+/// once (keyed by runner::experiment_key, so a baseline several tables share
+/// is served from the result cache instead of re-traced), and the files are
+/// written when the process exits.  Schema: docs/OBSERVABILITY.md.
+void init(int argc, char** argv);
 
 }  // namespace coolpim::bench

@@ -1,34 +1,15 @@
-// Lightweight statistics collection.
-//
-// Components expose named counters and distributions through a StatSet so
-// that experiment harnesses can dump everything a run produced without each
-// bench knowing component internals.  No global registry: each component owns
-// its StatSet and parents aggregate explicitly (Core Guidelines I.2 -- avoid
-// non-const global variables).
+// Streaming summary statistics for sampled quantities (request latencies in
+// the event-detailed models).  Event tallies go through obs::CounterRegistry
+// (obs/counters.hpp); a component that needs a total itself keeps a plain
+// integer member.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
-#include <vector>
-
-#include "common/error.hpp"
 
 namespace coolpim {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_{0};
-};
 
 /// Streaming summary of a sampled quantity: count / mean / min / max /
 /// variance via Welford's algorithm (numerically stable for long runs).
@@ -54,8 +35,6 @@ class Summary {
   }
   [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
 
-  void reset() { *this = Summary{}; }
-
  private:
   std::uint64_t n_{0};
   double mean_{0.0};
@@ -63,30 +42,6 @@ class Summary {
   double min_{std::numeric_limits<double>::infinity()};
   double max_{-std::numeric_limits<double>::infinity()};
   double last_{0.0};
-};
-
-/// Named bag of counters/summaries; the dump format is consumed by benches.
-class StatSet {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Summary& summary(const std::string& name) { return summaries_[name]; }
-
-  [[nodiscard]] const std::map<std::string, Counter>& counters() const { return counters_; }
-  [[nodiscard]] const std::map<std::string, Summary>& summaries() const { return summaries_; }
-
-  [[nodiscard]] std::uint64_t counter_value(const std::string& name) const {
-    const auto it = counters_.find(name);
-    return it == counters_.end() ? 0 : it->second.value();
-  }
-
-  void reset() {
-    for (auto& [_, c] : counters_) c.reset();
-    for (auto& [_, s] : summaries_) s.reset();
-  }
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Summary> summaries_;
 };
 
 }  // namespace coolpim

@@ -41,7 +41,6 @@ void DetailedGpu::step_warp(Warp& warp) {
   const Time burst =
       cycle * static_cast<double>(warp.trace.compute_per_memop + 1);  // +1: the memop issue
   sm.issue_free_at = start + burst;
-  stats_.counter("warp_instructions").add(warp.trace.compute_per_memop + 1);
 
   sim_.schedule_at(sm.issue_free_at, [this, &warp] { issue_memop(warp); });
 }
@@ -63,22 +62,19 @@ void DetailedGpu::issue_memop(Warp& warp) {
   const bool is_pim = warp.trace.type == hmc::TransactionType::kPimNoReturn ||
                       warp.trace.type == hmc::TransactionType::kPimWithReturn;
   if (!is_pim && sm.l1->access(addr)) {
-    stats_.counter("l1_hits").add();
+    ++l1_hits_;
     ++warp.ops_done;
     // Hit latency is hidden by the pipeline; continue immediately.
     sim_.schedule_in(cfg_.clock.period(), [this, &warp] { step_warp(warp); });
     return;
   }
 
-  ++outstanding_;
-  stats_.summary("outstanding").record(static_cast<double>(outstanding_));
   const Time issued = sim_.now();
   device_.submit({warp.trace.type, addr, 0}, [this, &warp, issued](const hmc::Response&) {
-    --outstanding_;
     ++warp.ops_done;
     payload_bytes_ += 64;  // one line's worth of useful data per miss
     last_completion_ = sim_.now();
-    stats_.summary("latency_ns").record((sim_.now() - issued).as_ns());
+    latency_ns_.record((sim_.now() - issued).as_ns());
     step_warp(warp);
   });
 }
@@ -87,12 +83,10 @@ DetailedResult DetailedGpu::result() const {
   DetailedResult out;
   out.completion = last_completion_;
   out.memory_ops = total_ops_;
-  out.l1_hits = stats_.counter_value("l1_hits");
+  out.l1_hits = l1_hits_;
   const double secs = last_completion_.as_sec();
   out.achieved_gbps = secs > 0.0 ? static_cast<double>(payload_bytes_) / secs * 1e-9 : 0.0;
-  const auto& lat = stats_.summaries();
-  const auto it = lat.find("latency_ns");
-  out.avg_latency_ns = it != lat.end() ? it->second.mean() : 0.0;
+  out.avg_latency_ns = latency_ns_.mean();
   return out;
 }
 

@@ -55,8 +55,6 @@ class DetailedGpu {
   /// Collect results; valid once the simulation has drained.
   [[nodiscard]] DetailedResult result() const;
 
-  [[nodiscard]] const StatSet& stats() const { return stats_; }
-
  private:
   struct Warp;
   void step_warp(Warp& warp);
@@ -81,11 +79,11 @@ class DetailedGpu {
   };
   std::vector<std::unique_ptr<Warp>> warps_;
 
-  std::uint64_t outstanding_{0};
   std::uint64_t total_ops_{0};
   std::uint64_t payload_bytes_{0};
+  std::uint64_t l1_hits_{0};
+  Summary latency_ns_;  // issue -> response, L1 misses only
   Time last_completion_{Time::zero()};
-  StatSet stats_;
 };
 
 }  // namespace coolpim::gpu

@@ -44,7 +44,6 @@ void ExecutionEngine::begin_launch(Time now) {
   launch_began_ = now;
   if (launch_idx_ < launches_.size()) {
     refill_residency(now);
-    stats_.counter("kernel_launches").add();
     if (counters_) counters_->counter(obs::names::kGpuKernelLaunches).add();
   }
 }
@@ -70,7 +69,6 @@ void ExecutionEngine::retire_blocks(Time now, double count) {
       --resident_pim_;
       controller_.release_block(now);
     }
-    stats_.counter("blocks_retired").add();
     if (counters_) counters_->counter(obs::names::kGpuBlocksRetired).add();
   }
   refill_residency(now);
@@ -172,9 +170,6 @@ Time ExecutionEngine::commit(Time now, Time window, const hmc::EpochService& ser
   const std::uint64_t host_inc = host_total - host_atomics_emitted_;
   pim_ops_emitted_ = pim_total;
   host_atomics_emitted_ = host_total;
-  stats_.counter("pim_ops").add(pim_inc);
-  stats_.counter("host_atomics").add(host_inc);
-  stats_.summary("pim_fraction").record(pim_fraction(now));
   if (counters_) {
     counters_->counter(obs::names::kGpuPimOps).add(pim_inc);
     counters_->counter(obs::names::kGpuHostAtomics).add(host_inc);

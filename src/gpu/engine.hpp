@@ -18,7 +18,6 @@
 #include <deque>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "common/units.hpp"
 #include "control/policy.hpp"
 #include "gpu/characterize.hpp"
@@ -68,12 +67,13 @@ class ExecutionEngine {
   /// Reset progress (for warm-up repetitions).
   void restart();
 
-  [[nodiscard]] const StatSet& stats() const { return stats_; }
-  [[nodiscard]] StatSet& stats() { return stats_; }
+  /// Integer host-atomic total committed since construction (commit() emits
+  /// each increment to `gpu/host_atomics`); restart() does not reset it.
+  [[nodiscard]] std::uint64_t host_atomics_emitted() const { return host_atomics_emitted_; }
 
   /// Attach observability (category "gpu"): a complete-span per kernel
-  /// launch (queued -> retired) and hierarchical counters mirroring the
-  /// engine's StatSet.  Read-only; execution is identical with or without.
+  /// launch (queued -> retired) and the `gpu/*` launch, block and op
+  /// counters.  Read-only; execution is identical with or without.
   void set_observer(obs::Trace trace, obs::CounterRegistry* counters = nullptr) {
     trace_ = trace;
     counters_ = counters;
@@ -113,7 +113,6 @@ class ExecutionEngine {
   std::uint64_t blocks_launched_{0};
   std::uint64_t resident_pim_{0};
 
-  StatSet stats_;
   obs::Trace trace_;
   obs::CounterRegistry* counters_{nullptr};
 };

@@ -1,7 +1,7 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <functional>
 
 #include "runner/pool.hpp"
 
@@ -28,73 +28,61 @@ CsrGraph CsrGraph::from_edges(VertexId num_vertices,
   g.n_ = num_vertices;
   g.row_ptr_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
 
+  // Chunked counting sort.  Each chunk counts its own contiguous edge range;
+  // a serial pass turns the per-chunk counts into per-chunk write cursors in
+  // place (chunk c's cursor for vertex v starts where chunk c-1's edges of v
+  // end), and the scatter then runs chunk-parallel.  Because an edge's final
+  // position depends only on (source, input rank within source), the output
+  // is the same for any chunking.  Without a pool the chunk runs on the
+  // caller.
   const std::size_t chunks =
-      pool != nullptr ? chunk_count(edges.size(), pool->size()) : 1;
-  if (chunks <= 1) {
-    for (const auto& [src, dst] : edges) {
-      COOLPIM_REQUIRE(src < num_vertices && dst < num_vertices, "edge endpoint out of range");
-      ++g.row_ptr_[src + 1];
+      chunk_count(edges.size(), pool != nullptr ? pool->size() : 1);
+  const std::size_t per_chunk = (edges.size() + chunks - 1) / chunks;
+  const auto for_each_chunk = [&](const std::function<void(std::size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->parallel_for(chunks, fn);
+    } else {
+      for (std::size_t c = 0; c < chunks; ++c) fn(c);
     }
-    std::partial_sum(g.row_ptr_.begin(), g.row_ptr_.end(), g.row_ptr_.begin());
+  };
+  std::vector<std::vector<EdgeId>> cursors(chunks);
+  for_each_chunk([&](std::size_t c) {
+    auto& count = cursors[c];
+    count.assign(static_cast<std::size_t>(num_vertices), 0);
+    const std::size_t lo = c * per_chunk;
+    const std::size_t hi = std::min(edges.size(), lo + per_chunk);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const auto [src, dst] = edges[i];
+      COOLPIM_REQUIRE(src < num_vertices && dst < num_vertices, "edge endpoint out of range");
+      ++count[src];
+    }
+  });
 
-    g.col_idx_.resize(edges.size());
-    if (!weights.empty()) g.weights_.resize(edges.size());
-    std::vector<EdgeId> cursor(g.row_ptr_.begin(), g.row_ptr_.end() - 1);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
+  EdgeId running = 0;
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    g.row_ptr_[v] = running;
+    for (auto& cursor : cursors) {
+      const EdgeId count = cursor[v];
+      cursor[v] = running;
+      running += count;
+    }
+  }
+  g.row_ptr_[num_vertices] = running;
+
+  g.col_idx_.resize(edges.size());
+  if (!weights.empty()) g.weights_.resize(edges.size());
+  const bool weighted = !weights.empty();
+  for_each_chunk([&](std::size_t c) {
+    auto& cursor = cursors[c];
+    const std::size_t lo = c * per_chunk;
+    const std::size_t hi = std::min(edges.size(), lo + per_chunk);
+    for (std::size_t i = lo; i < hi; ++i) {
       const auto [src, dst] = edges[i];
       const EdgeId pos = cursor[src]++;
       g.col_idx_[pos] = dst;
-      if (!weights.empty()) g.weights_[pos] = weights[i];
+      if (weighted) g.weights_[pos] = weights[i];
     }
-  } else {
-    // Chunked counting sort.  Each chunk counts its own contiguous edge
-    // range; a serial pass turns the per-chunk counts into per-chunk write
-    // cursors (chunk c's cursor for vertex v starts where chunk c-1's edges
-    // of v end), and the scatter then runs chunk-parallel.  Because an edge's
-    // final position depends only on (source, input rank within source), the
-    // output is identical to the serial build for any chunking.
-    const std::size_t per_chunk = (edges.size() + chunks - 1) / chunks;
-    std::vector<std::vector<EdgeId>> counts(chunks);
-    pool->parallel_for(chunks, [&](std::size_t c) {
-      auto& count = counts[c];
-      count.assign(static_cast<std::size_t>(num_vertices), 0);
-      const std::size_t lo = c * per_chunk;
-      const std::size_t hi = std::min(edges.size(), lo + per_chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto [src, dst] = edges[i];
-        COOLPIM_REQUIRE(src < num_vertices && dst < num_vertices,
-                        "edge endpoint out of range");
-        ++count[src];
-      }
-    });
-
-    std::vector<std::vector<EdgeId>> starts(chunks);
-    for (auto& s : starts) s.resize(static_cast<std::size_t>(num_vertices));
-    EdgeId running = 0;
-    for (VertexId v = 0; v < num_vertices; ++v) {
-      g.row_ptr_[v] = running;
-      for (std::size_t c = 0; c < chunks; ++c) {
-        starts[c][v] = running;
-        running += counts[c][v];
-      }
-    }
-    g.row_ptr_[num_vertices] = running;
-
-    g.col_idx_.resize(edges.size());
-    if (!weights.empty()) g.weights_.resize(edges.size());
-    const bool weighted = !weights.empty();
-    pool->parallel_for(chunks, [&](std::size_t c) {
-      auto& cursor = starts[c];
-      const std::size_t lo = c * per_chunk;
-      const std::size_t hi = std::min(edges.size(), lo + per_chunk);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto [src, dst] = edges[i];
-        const EdgeId pos = cursor[src]++;
-        g.col_idx_[pos] = dst;
-        if (weighted) g.weights_[pos] = weights[i];
-      }
-    });
-  }
+  });
 
   g.degrees_.resize(static_cast<std::size_t>(num_vertices));
   for (VertexId v = 0; v < num_vertices; ++v) {

@@ -25,10 +25,10 @@ class CsrGraph {
   /// Build from an edge list.  Self-loops are kept; duplicate edges are kept
   /// (graph generators may produce multi-edges, as real datasets do).
   ///
-  /// With a pool of more than one job the counting sort runs chunked in
-  /// parallel; the chunked scatter preserves the input order of every
-  /// source's edges, so the resulting arrays are bit-identical to the serial
-  /// build at any jobs count (tested in test_csr).
+  /// A counting sort over contiguous edge chunks, run across `pool` (in order
+  /// on the caller without one).  The scatter preserves the input order of
+  /// every source's edges, so the arrays are the same at any jobs count;
+  /// test_csr checks them against the serial sort in tests/support.
   static CsrGraph from_edges(VertexId num_vertices,
                              std::vector<std::pair<VertexId, VertexId>> edges,
                              std::vector<std::uint32_t> weights = {},

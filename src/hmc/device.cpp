@@ -56,8 +56,7 @@ void Device::submit(const Request& req, ResponseCallback on_response) {
 
   total_flits_ += cost.total();
   payload_bytes_ += payload_bytes(req.type);
-  stats_.counter("requests").add();
-  stats_.summary("latency_ns").record((resp_done - now).as_ns());
+  latency_ns_.record((resp_done - now).as_ns());
   if (counters_ != nullptr) {
     counters_->counter(obs::names::kHmcRequests).add();
     counters_->counter(obs::names::kHmcReqFlits).add(cost.request);
@@ -68,9 +67,8 @@ void Device::submit(const Request& req, ResponseCallback on_response) {
   Response resp{};
   resp.tag = req.tag;
   resp.errstat = warning_active() ? ErrStat::kThermalWarning : ErrStat::kOk;
-  if (resp.errstat == ErrStat::kThermalWarning) {
-    stats_.counter("thermal_warnings").add();
-    if (counters_ != nullptr) counters_->counter(obs::names::kHmcThermalWarnings).add();
+  if (resp.errstat == ErrStat::kThermalWarning && counters_ != nullptr) {
+    counters_->counter(obs::names::kHmcThermalWarnings).add();
   }
   if (trace_.enabled()) {
     trace_.complete(now, resp_done - now, obs::names::kCatHmc, "request",

@@ -70,8 +70,9 @@ class Device {
 
   [[nodiscard]] const HmcConfig& config() const { return cfg_; }
   [[nodiscard]] const ThermalPolicy& policy() const { return policy_; }
-  [[nodiscard]] const StatSet& stats() const { return stats_; }
-  [[nodiscard]] StatSet& stats() { return stats_; }
+  /// Round-trip latency of every request served so far (submit -> response
+  /// at the host), in ns.
+  [[nodiscard]] const Summary& latency_ns() const { return latency_ns_; }
   [[nodiscard]] const Vault& vault(std::size_t i) const { return vaults_.at(i); }
 
   /// FLITs moved so far (request + response), for bandwidth accounting.
@@ -113,7 +114,7 @@ class Device {
 
   std::uint64_t total_flits_{0};
   std::uint64_t payload_bytes_{0};
-  StatSet stats_;
+  Summary latency_ns_;
   obs::Trace trace_;
   obs::CounterRegistry* counters_{nullptr};
 };

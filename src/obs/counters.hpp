@@ -5,7 +5,7 @@
 // slash-separated paths whose first segment is the owning subsystem -- the
 // same category vocabulary the trace schema uses (docs/OBSERVABILITY.md).
 //
-// Like StatSet, there is no global registry: each simulation run owns one
+// There is no global registry: each simulation run owns one
 // CounterRegistry (via obs::RunObserver) and the sweep writer aggregates
 // explicitly in task-submission order, which is what makes counter files
 // byte-identical at any --jobs value.  Storage is node-based (std::map), so

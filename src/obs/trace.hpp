@@ -67,7 +67,7 @@ struct TraceEvent {
 
 /// Ordered event collector for one simulation run.  Single-threaded by
 /// design: each parallel-runner task owns its own buffer (the same ownership
-/// discipline as Logger/StatSet), and the sweep writer merges buffers in
+/// discipline as Logger), and the sweep writer merges buffers in
 /// submission order so output is independent of scheduling.
 class TraceBuffer {
  public:

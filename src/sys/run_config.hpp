@@ -7,8 +7,8 @@
 //   RunConfig rc = RunConfig::from_args(&argc, argv, RunConfig::from_env());
 //
 // from_args() consumes (removes from argv) exactly the flags it recognizes,
-// so binaries with their own argument parsing -- google-benchmark included --
-// can run it first and hand the remainder on.  Malformed values throw
+// so binaries with their own argument parsing (the apps and examples) can run
+// it first and hand the remainder on.  Malformed values throw
 // ConfigError with the offending name, never silently default.
 //
 // The fault sub-config (--fault-* / COOLPIM_FAULT_*) is carried whole and

@@ -156,7 +156,8 @@ bool SystemRun::advance() {
       }
       case Phase::kMeasuredBegin:
         result_.start_dram_temp = therm_.peak_dram();
-        engine_->stats().reset();  // warm-up traffic is not part of the measurement
+        // Warm-up traffic is not part of the measurement.
+        host_atomics_at_measure_ = engine_->host_atomics_emitted();
         measured_start_ = now_;
         begin_pass(cfg_.epoch, /*measure=*/true);
         phase_ = Phase::kFinalize;
@@ -398,7 +399,7 @@ void SystemRun::warmup_jump() {
 
 void SystemRun::finalize() {
   result_.peak_dram_temp = ideal_ ? therm_.config().ambient : pass_out_.peak;
-  result_.host_atomics = engine_->stats().counter_value("host_atomics");
+  result_.host_atomics = engine_->host_atomics_emitted() - host_atomics_at_measure_;
   if (tr_.enabled()) {
     // One span per controller over the measured pass so the throttle policy
     // in force is readable directly off the "core" track.

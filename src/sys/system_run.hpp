@@ -157,6 +157,8 @@ class SystemRun {
   EpochState ep_;
   PassOutcome pass_out_;
   Time measured_start_{Time::zero()};
+  // Host atomics the engine had committed when the measured pass began.
+  std::uint64_t host_atomics_at_measure_{0};
 
   // Warm-up repetition state.
   unsigned rep_{0};

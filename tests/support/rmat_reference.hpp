@@ -11,8 +11,8 @@ namespace coolpim::graph {
 
 /// One Rng walked front to back: the Fisher-Yates ID scramble, then `scale`
 /// draws per edge (each picks a quadrant through an indexed threshold
-/// table), then one next_in(1, max_weight) per edge weight.  Serial CSR
-/// build.  Expects parameters make_rmat() accepts.
+/// table), then one next_in(1, max_weight) per edge weight.  CSR built
+/// without a pool.  Expects parameters make_rmat() accepts.
 [[nodiscard]] CsrGraph reference_rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
                                       const RmatParams& params = {});
 

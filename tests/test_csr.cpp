@@ -8,6 +8,7 @@
 #include "graph/csr.hpp"
 #include "graph/generator.hpp"
 #include "runner/pool.hpp"
+#include "support/csr_reference.hpp"
 
 namespace coolpim::graph {
 namespace {
@@ -101,29 +102,32 @@ TEST(CsrTest, MaxDegreeVertexIsLowestIdArgmax) {
 }
 
 TEST(CsrTest, ParallelBuildBitIdenticalToSerial) {
-  // The chunked parallel counting sort must produce the same arrays as the
-  // serial build at any jobs count, including edge-order-sensitive cases
-  // (multi-edges and weights keep their insertion order per source).
+  // The chunked counting sort must produce the serial sort's arrays at any
+  // jobs count, including edge-order-sensitive cases (multi-edges and
+  // weights keep their insertion order per source).  Chunks hold at least
+  // 2^15 edges, so this many edges split the build into 2, 3 and 8 chunks.
+  constexpr VertexId kVertices = 10007;
+  constexpr std::uint32_t kEdges = (8u << 15) + 4321;
   std::vector<std::pair<VertexId, VertexId>> edges;
   std::vector<std::uint32_t> weights;
-  for (std::uint32_t i = 0; i < 10000; ++i) {
-    edges.emplace_back((i * 2654435761u) % 997, (i * 40503u) % 997);
+  for (std::uint32_t i = 0; i < kEdges; ++i) {
+    edges.emplace_back((i * 2654435761u) % kVertices, (i * 40503u) % kVertices);
     weights.push_back(i % 64 + 1);
   }
-  const CsrGraph serial = CsrGraph::from_edges(997, edges, weights);
-  for (const unsigned jobs : {1u, 3u, 8u}) {
+  const ReferenceCsr serial = reference_csr(kVertices, edges, weights);
+  const auto check = [&](const CsrGraph& g) {
+    EXPECT_EQ(g.row_ptr(), serial.row_ptr);
+    EXPECT_EQ(g.col_idx(), serial.col_idx);
+    EXPECT_EQ(g.weights(), serial.weights);
+    for (VertexId v = 0; v < kVertices; ++v) {
+      ASSERT_EQ(g.out_degree(v), serial.row_ptr[v + 1] - serial.row_ptr[v]);
+    }
+  };
+  check(CsrGraph::from_edges(kVertices, edges, weights));
+  for (const unsigned jobs : {1u, 2u, 3u, 8u}) {
     SCOPED_TRACE(jobs);
     runner::Pool pool{jobs};
-    const CsrGraph parallel = CsrGraph::from_edges(997, edges, weights, &pool);
-    EXPECT_EQ(parallel.row_ptr(), serial.row_ptr());
-    EXPECT_EQ(parallel.col_idx(), serial.col_idx());
-    ASSERT_TRUE(parallel.has_weights());
-    for (VertexId v = 0; v < 997; ++v) {
-      const auto a = parallel.edge_weights(v);
-      const auto b = serial.edge_weights(v);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-    }
+    check(CsrGraph::from_edges(kVertices, edges, weights, &pool));
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gpu/detailed.hpp"
+#include "obs/names.hpp"
 
 namespace coolpim::gpu {
 namespace {
@@ -77,6 +78,8 @@ TEST(DetailedGpuTest, StreamingHitsInL1) {
 TEST(DetailedGpuTest, PimOpsBypassTheL1) {
   sim::Simulation sim;
   hmc::Device device{sim, hmc::hmc20_config()};
+  obs::CounterRegistry counters;
+  device.set_observer({}, &counters);
   GpuConfig cfg;
   DetailedGpu gpu{sim, cfg, device};
   WarpTrace pim;
@@ -86,7 +89,7 @@ TEST(DetailedGpuTest, PimOpsBypassTheL1) {
   gpu.launch({pim});
   sim.run_to_completion();
   EXPECT_EQ(gpu.result().l1_hits, 0u);
-  EXPECT_EQ(device.stats().counter_value("requests"), 500u);
+  EXPECT_EQ(counters.counter_value(obs::names::kHmcRequests), 500u);
 }
 
 TEST(DetailedGpuTest, CrossValidatesEpochLatencyConstant) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "hmc/device.hpp"
+#include "obs/names.hpp"
 
 namespace coolpim::hmc {
 namespace {
@@ -112,6 +113,8 @@ TEST_F(DeviceFixture, PimThroughputBeatsReadWritePairs) {
 
 TEST_F(DeviceFixture, ThermalWarningSetInResponses) {
   Device dev{sim_, hmc20_config()};
+  obs::CounterRegistry counters;
+  dev.set_observer({}, &counters);
   dev.set_dram_temperature(Celsius{86.0});
   EXPECT_TRUE(dev.warning_active());
   bool saw_warning = false;
@@ -120,7 +123,7 @@ TEST_F(DeviceFixture, ThermalWarningSetInResponses) {
   });
   sim_.run_to_completion();
   EXPECT_TRUE(saw_warning);
-  EXPECT_EQ(dev.stats().counter_value("thermal_warnings"), 1u);
+  EXPECT_EQ(counters.counter_value(obs::names::kHmcThermalWarnings), 1u);
 }
 
 TEST_F(DeviceFixture, DeratedServiceIsSlower) {
@@ -156,10 +159,13 @@ TEST_F(DeviceFixture, Hmc11RejectsPim) {
 
 TEST_F(DeviceFixture, StatsAndFlitAccounting) {
   Device dev{sim_, hmc20_config()};
+  obs::CounterRegistry counters;
+  dev.set_observer({}, &counters);
   dev.submit({TransactionType::kRead64, 0, 0}, [](const Response&) {});
   dev.submit({TransactionType::kPimWithReturn, 64, 0}, [](const Response&) {});
   sim_.run_to_completion();
-  EXPECT_EQ(dev.stats().counter_value("requests"), 2u);
+  EXPECT_EQ(counters.counter_value(obs::names::kHmcRequests), 2u);
+  EXPECT_EQ(dev.latency_ns().count(), 2u);
   EXPECT_EQ(dev.total_flits(), 6u + 4u);
   EXPECT_EQ(dev.total_payload_bytes(), 64u + 16u);
 }

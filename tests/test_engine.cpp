@@ -7,6 +7,7 @@
 #include "control/sw_dynt.hpp"
 #include "gpu/engine.hpp"
 #include "hmc/throughput_model.hpp"
+#include "obs/names.hpp"
 
 namespace coolpim::gpu {
 namespace {
@@ -141,7 +142,8 @@ TEST(EngineTest, CommittedOpTotalsMatchLaunchAtomics) {
   // final sum -- not drift by up to half an op per epoch the way per-epoch
   // truncation would.
   const double atomics = 123457.0;
-  auto run = [](ExecutionEngine& engine) {
+  auto run = [](ExecutionEngine& engine, obs::CounterRegistry& counters) {
+    engine.set_observer({}, &counters);
     Time now = Time::zero();
     int epochs = 0;
     while (!engine.finished() && epochs < 200000) {
@@ -156,18 +158,23 @@ TEST(EngineTest, CommittedOpTotalsMatchLaunchAtomics) {
     GpuConfig cfg;
     control::NaivePolicy ctrl;  // pim_fraction == 1: everything offloads
     ExecutionEngine engine{cfg, {simple_launch(1e7, 0, atomics, 64)}, ctrl};
-    run(engine);
-    EXPECT_NEAR(static_cast<double>(engine.stats().counter_value("pim_ops")), atomics, 1.0);
-    EXPECT_EQ(engine.stats().counter_value("host_atomics"), 0u);
+    obs::CounterRegistry counters;
+    run(engine, counters);
+    EXPECT_NEAR(static_cast<double>(counters.counter_value(obs::names::kGpuPimOps)), atomics,
+                1.0);
+    EXPECT_EQ(counters.counter_value(obs::names::kGpuHostAtomics), 0u);
+    EXPECT_EQ(engine.host_atomics_emitted(), 0u);
   }
   {
     GpuConfig cfg;
     control::NonOffloadingPolicy ctrl;  // pim_fraction == 0: all host RMW
     ExecutionEngine engine{cfg, {simple_launch(1e7, 0, atomics, 64)}, ctrl};
-    run(engine);
-    EXPECT_NEAR(static_cast<double>(engine.stats().counter_value("host_atomics")), atomics,
-                1.0);
-    EXPECT_EQ(engine.stats().counter_value("pim_ops"), 0u);
+    obs::CounterRegistry counters;
+    run(engine, counters);
+    EXPECT_NEAR(static_cast<double>(counters.counter_value(obs::names::kGpuHostAtomics)),
+                atomics, 1.0);
+    EXPECT_EQ(engine.host_atomics_emitted(), counters.counter_value(obs::names::kGpuHostAtomics));
+    EXPECT_EQ(counters.counter_value(obs::names::kGpuPimOps), 0u);
   }
 }
 
@@ -176,15 +183,23 @@ TEST(EngineTest, RestartReplaysFromTheTop) {
   control::NaivePolicy ctrl;
   ExecutionEngine engine{cfg, {simple_launch(1e5, 1e3, 0, 8), simple_launch(1e5, 1e3, 0, 8)},
                          ctrl};
+  obs::CounterRegistry counters;
+  engine.set_observer({}, &counters);
   Time now = Time::zero();
-  while (!engine.finished()) {
-    const auto d = engine.plan(now, Time::us(10));
-    now += engine.commit(now, Time::us(10), full_service(d));
-  }
-  EXPECT_EQ(engine.stats().counter_value("kernel_launches"), 2u);
+  auto run = [&] {
+    while (!engine.finished()) {
+      const auto d = engine.plan(now, Time::us(10));
+      now += engine.commit(now, Time::us(10), full_service(d));
+    }
+  };
+  run();
+  // The constructor began launch 0 before the registry was attached.
+  EXPECT_EQ(counters.counter_value(obs::names::kGpuKernelLaunches), 1u);
   engine.restart();
   EXPECT_FALSE(engine.finished());
   EXPECT_EQ(engine.current_launch(), 0u);
+  run();
+  EXPECT_EQ(counters.counter_value(obs::names::kGpuKernelLaunches), 3u);
 }
 
 TEST(EngineTest, BuildLaunchesFromProfile) {

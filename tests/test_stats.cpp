@@ -1,4 +1,4 @@
-// Tests for counters, summaries and the StatSet.
+// Tests for the streaming Summary.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,16 +9,6 @@
 
 namespace coolpim {
 namespace {
-
-TEST(CounterTest, AddAndReset) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(41);
-  EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(SummaryTest, BasicMoments) {
   Summary s;
@@ -56,18 +46,6 @@ TEST(SummaryTest, WelfordMatchesNaiveOnRandomData) {
   var /= static_cast<double>(xs.size() - 1);
   EXPECT_NEAR(s.mean(), mean, 1e-9);
   EXPECT_NEAR(s.variance(), var, 1e-6);
-}
-
-TEST(StatSetTest, NamedAccessAndReset) {
-  StatSet set;
-  set.counter("reads").add(7);
-  set.summary("latency").record(42.0);
-  EXPECT_EQ(set.counter_value("reads"), 7u);
-  EXPECT_EQ(set.counter_value("missing"), 0u);
-  EXPECT_EQ(set.summaries().at("latency").count(), 1u);
-  set.reset();
-  EXPECT_EQ(set.counter_value("reads"), 0u);
-  EXPECT_EQ(set.summaries().at("latency").count(), 0u);
 }
 
 }  // namespace

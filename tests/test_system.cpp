@@ -63,6 +63,10 @@ TEST_F(SystemFixture, BaselineNeverOffloads) {
   const auto& r = dc_results().at(Scenario::kNonOffloading);
   EXPECT_EQ(r.pim_ops, 0u);
   EXPECT_GT(r.exec_time, Time::zero());
+  // Every atomic runs on the host, and only the measured pass counts: the
+  // warm-up passes before it replay the same atomics.
+  EXPECT_NEAR(static_cast<double>(r.host_atomics),
+              static_cast<double>(workloads().profile("dc").total_atomics()), 1.0);
 }
 
 TEST_F(SystemFixture, IdealThermalIsFastest) {
