@@ -1,4 +1,5 @@
-# ctest driver for the argument-rejection tests: runs BIN with ARGS (one
+# ctest script for the argument-rejection tests of apps/ and bench/
+# (coolpim_rejects() in the root CMakeLists.txt): runs BIN with ARGS (one
 # space-separated string) and passes only if it exits with CODE and its
 # stderr matches PATTERN.  PASS_REGULAR_EXPRESSION alone would ignore the
 # exit status, so a binary that printed the error and went on would pass.

@@ -8,8 +8,9 @@
 //
 // RngJump moves a generator ahead by any number of draws in about a
 // microsecond, so a long stream can be cut into chunks that run in parallel
-// and still consume exactly the draws a sequential walk would
-// (graph::make_rmat samples its edges that way).
+// and still consume exactly the draws a sequential walk would.
+// graph::make_rmat samples its edges that way, four chunks per vector
+// through Rng::step().
 #pragma once
 
 #include <array>
@@ -52,9 +53,34 @@ class Rng {
   }
 
   std::uint64_t next_u64() {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    transition(s_);
+    std::uint64_t result = 0;
+    step(s_[0], s_[1], s_[2], s_[3], result);
     return result;
+  }
+
+  /// The four state words.  With step() they let several generators run side
+  /// by side in vector lanes and stay in step with next_u64().
+  [[nodiscard]] const std::array<std::uint64_t, 4>& state() const { return s_; }
+
+  /// One xoshiro256** draw on state words of any type with the integer
+  /// operators: std::uint64_t, or a GCC vector of them that steps one
+  /// generator per lane.  Advances the words and stores the output in `out`
+  /// (by reference: a 32-byte vector passed by value changes the ABI between
+  /// AVX2 and baseline clones).  x * 5 and x * 9 are spelled (x << 2) + x and
+  /// (x << 3) + x, equal mod 2^64, so 64-bit vector lanes need no multiply
+  /// (AVX2 has none).
+  template <class Word>
+  static constexpr void step(Word& s0, Word& s1, Word& s2, Word& s3, Word& out) {
+    const Word x = (s1 << 2) + s1;
+    const Word r = (x << 7) | (x >> 57);  // rotl 7
+    out = (r << 3) + r;
+    const Word t = s1 << 17;
+    s2 ^= s0;
+    s3 ^= s1;
+    s1 ^= s2;
+    s0 ^= s3;
+    s2 ^= t;
+    s3 = (s3 << 45) | (s3 >> 19);  // rotl 45
   }
 
   /// Move the state ahead by the draws `jump` was built for, exactly as that
@@ -123,20 +149,11 @@ class Rng {
   friend class RngJump;
   using State = std::array<std::uint64_t, 4>;
 
-  static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-
   /// The xoshiro256 state update, linear over GF(2)^256: XORs, one shift and
   /// one rotation.
   static constexpr void transition(State& s) {
-    const std::uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
+    std::uint64_t unused = 0;
+    step(s[0], s[1], s[2], s[3], unused);
   }
 
   State s_{};

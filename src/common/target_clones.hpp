@@ -1,6 +1,6 @@
 // Runtime-dispatched AVX2 clones for the simulator's vector kernels: the
-// thermal stencil sweep (thermal/stack_model.cpp) and the L2 tag-row replay
-// (gpu/cache.cpp).
+// thermal stencil sweep (thermal/stack_model.cpp), the L2 tag-row replay
+// (gpu/cache.cpp) and the RMAT edge sampler (graph/generator.cpp).
 //
 // Where the toolchain supports ifunc multiversioning (x86-64 ELF), a function
 // marked COOLPIM_STENCIL_CLONES is compiled twice, for baseline x86-64 and

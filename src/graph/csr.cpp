@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 
+#include "graph/csr_build.hpp"
 #include "runner/pool.hpp"
 
 namespace coolpim::graph {
@@ -19,76 +21,92 @@ std::size_t chunk_count(std::size_t edges, unsigned jobs) {
 
 }  // namespace
 
+namespace detail {
+
+CsrGraph build_csr(VertexId num_vertices, const EdgeGroups& edges, runner::Pool* pool) {
+  const auto for_each_group = [&](const std::function<void(std::size_t)>& fn) {
+    if (pool != nullptr) {
+      pool->parallel_for(edges.groups, fn);
+    } else {
+      for (std::size_t g = 0; g < edges.groups; ++g) fn(g);
+    }
+  };
+  const auto vertex = [&](VertexId key) {
+    return edges.vertex_of_key.empty() ? key : edges.vertex_of_key[key];
+  };
+  const std::size_t n = num_vertices;
+
+  std::vector<std::vector<EdgeId>> cursors(edges.groups);
+  for_each_group([&](std::size_t g) {
+    cursors[g].assign(n, 0);
+    edges.count(g, cursors[g].data());
+  });
+
+  CsrGraph csr;
+  csr.n_ = num_vertices;
+  csr.row_ptr_.assign(n + 1, 0);
+  for (VertexId key = 0; key < num_vertices; ++key) {
+    EdgeId degree = 0;
+    for (const auto& count : cursors) degree += count[key];
+    csr.row_ptr_[vertex(key) + 1] = degree;
+  }
+  std::partial_sum(csr.row_ptr_.begin(), csr.row_ptr_.end(), csr.row_ptr_.begin());
+  csr.degrees_.resize(n);
+  for (VertexId v = 0; v < num_vertices; ++v) {
+    csr.degrees_[v] = static_cast<std::uint32_t>(csr.row_ptr_[v + 1] - csr.row_ptr_[v]);
+  }
+  // Each group's counts become its cursors in place: group g's edges of a
+  // source start where group g - 1's end.
+  for (VertexId key = 0; key < num_vertices; ++key) {
+    EdgeId next = csr.row_ptr_[vertex(key)];
+    for (auto& cursor : cursors) {
+      const EdgeId count = cursor[key];
+      cursor[key] = next;
+      next += count;
+    }
+  }
+
+  csr.col_idx_.resize(csr.row_ptr_[n]);
+  if (edges.weighted) csr.weights_.resize(csr.row_ptr_[n]);
+  for_each_group([&](std::size_t g) {
+    edges.scatter(g, {cursors[g].data(), csr.col_idx_.data(),
+                      edges.weighted ? csr.weights_.data() : nullptr});
+  });
+  return csr;
+}
+
+}  // namespace detail
+
 CsrGraph CsrGraph::from_edges(VertexId num_vertices,
                               std::vector<std::pair<VertexId, VertexId>> edges,
                               std::vector<std::uint32_t> weights, runner::Pool* pool) {
   COOLPIM_REQUIRE(weights.empty() || weights.size() == edges.size(),
                   "weights must match edge count");
-  CsrGraph g;
-  g.n_ = num_vertices;
-  g.row_ptr_.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-
-  // Chunked counting sort.  Each chunk counts its own contiguous edge range;
-  // a serial pass turns the per-chunk counts into per-chunk write cursors in
-  // place (chunk c's cursor for vertex v starts where chunk c-1's edges of v
-  // end), and the scatter then runs chunk-parallel.  Because an edge's final
-  // position depends only on (source, input rank within source), the output
-  // is the same for any chunking.  Without a pool the chunk runs on the
-  // caller.
+  // Contiguous edge chunks, one group each.
   const std::size_t chunks =
       chunk_count(edges.size(), pool != nullptr ? pool->size() : 1);
   const std::size_t per_chunk = (edges.size() + chunks - 1) / chunks;
-  const auto for_each_chunk = [&](const std::function<void(std::size_t)>& fn) {
-    if (pool != nullptr) {
-      pool->parallel_for(chunks, fn);
-    } else {
-      for (std::size_t c = 0; c < chunks; ++c) fn(c);
-    }
-  };
-  std::vector<std::vector<EdgeId>> cursors(chunks);
-  for_each_chunk([&](std::size_t c) {
-    auto& count = cursors[c];
-    count.assign(static_cast<std::size_t>(num_vertices), 0);
-    const std::size_t lo = c * per_chunk;
-    const std::size_t hi = std::min(edges.size(), lo + per_chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
+  const auto first = [&](std::size_t c) { return std::min(edges.size(), c * per_chunk); };
+
+  detail::EdgeGroups chunked;
+  chunked.groups = chunks;
+  chunked.weighted = !weights.empty();
+  chunked.count = [&](std::size_t c, EdgeId* count) {
+    for (std::size_t i = first(c); i < first(c + 1); ++i) {
       const auto [src, dst] = edges[i];
       COOLPIM_REQUIRE(src < num_vertices && dst < num_vertices, "edge endpoint out of range");
       ++count[src];
     }
-  });
-
-  EdgeId running = 0;
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    g.row_ptr_[v] = running;
-    for (auto& cursor : cursors) {
-      const EdgeId count = cursor[v];
-      cursor[v] = running;
-      running += count;
-    }
-  }
-  g.row_ptr_[num_vertices] = running;
-
-  g.col_idx_.resize(edges.size());
-  if (!weights.empty()) g.weights_.resize(edges.size());
-  const bool weighted = !weights.empty();
-  for_each_chunk([&](std::size_t c) {
-    auto& cursor = cursors[c];
-    const std::size_t lo = c * per_chunk;
-    const std::size_t hi = std::min(edges.size(), lo + per_chunk);
-    for (std::size_t i = lo; i < hi; ++i) {
+  };
+  chunked.scatter = [&](std::size_t c, const detail::CsrCursors& out) {
+    for (std::size_t i = first(c); i < first(c + 1); ++i) {
       const auto [src, dst] = edges[i];
-      const EdgeId pos = cursor[src]++;
-      g.col_idx_[pos] = dst;
-      if (weighted) g.weights_[pos] = weights[i];
+      const EdgeId pos = out.next[src]++;
+      out.col_idx[pos] = dst;
+      if (out.weights != nullptr) out.weights[pos] = weights[i];
     }
-  });
-
-  g.degrees_.resize(static_cast<std::size_t>(num_vertices));
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    g.degrees_[v] = static_cast<std::uint32_t>(g.row_ptr_[v + 1] - g.row_ptr_[v]);
-  }
-  return g;
+  };
+  return detail::build_csr(num_vertices, chunked, pool);
 }
 
 std::uint32_t CsrGraph::max_degree() const {

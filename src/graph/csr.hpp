@@ -17,6 +17,12 @@ namespace coolpim::graph {
 using VertexId = std::uint32_t;
 using EdgeId = std::uint64_t;
 
+class CsrGraph;
+namespace detail {
+struct EdgeGroups;
+CsrGraph build_csr(VertexId num_vertices, const EdgeGroups& edges, runner::Pool* pool);
+}  // namespace detail
+
 /// Directed graph in CSR form, with optional 32-bit edge weights.
 class CsrGraph {
  public:
@@ -25,10 +31,12 @@ class CsrGraph {
   /// Build from an edge list.  Self-loops are kept; duplicate edges are kept
   /// (graph generators may produce multi-edges, as real datasets do).
   ///
-  /// A counting sort over contiguous edge chunks, run across `pool` (in order
-  /// on the caller without one).  The scatter preserves the input order of
-  /// every source's edges, so the arrays are the same at any jobs count;
-  /// test_csr checks them against the serial sort in tests/support.
+  /// The library's one counting sort (graph/csr_build.hpp), over contiguous
+  /// edge chunks run across `pool` (in order on the caller without one);
+  /// graph::make_rmat feeds the same sort from its sampler.  The scatter
+  /// preserves the input order of every source's edges, so the arrays are
+  /// the same at any jobs count; test_csr checks them against the serial
+  /// sort in tests/support.
   static CsrGraph from_edges(VertexId num_vertices,
                              std::vector<std::pair<VertexId, VertexId>> edges,
                              std::vector<std::uint32_t> weights = {},
@@ -81,6 +89,8 @@ class CsrGraph {
   }
 
  private:
+  friend CsrGraph detail::build_csr(VertexId, const detail::EdgeGroups&, runner::Pool*);
+
   VertexId n_{0};
   std::vector<EdgeId> row_ptr_;
   std::vector<VertexId> col_idx_;

@@ -1,11 +1,15 @@
 #include "graph/generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <string>
 
 #include "common/rng.hpp"
+#include "common/target_clones.hpp"
+#include "graph/csr_build.hpp"
 #include "runner/pool.hpp"
 
 namespace coolpim::graph {
@@ -15,6 +19,82 @@ namespace {
 /// Edges per sampling chunk: a constant, so the chunking -- and with it
 /// every jump -- is the same at any jobs count.
 constexpr EdgeId kEdgesPerChunk = EdgeId{1} << 16;
+
+/// Chunks the sampler walks side by side, one per 64-bit vector lane.
+constexpr std::size_t kLanes = 4;
+
+/// Edges per lane the counting pass samples before it counts them, so the
+/// count increments overlap one another instead of waiting on the draws.
+constexpr std::size_t kCountBlock = 256;
+
+/// One 64-bit word per lane.
+typedef std::uint64_t Words __attribute__((vector_size(32)));
+
+/// Four generators side by side: s[w][l] is state word w of lane l.
+struct LaneStates {
+  std::uint64_t s[4][kLanes];
+};
+
+/// The quadrant thresholds over the raw 53-bit draw u, each stored less
+/// one: for lo <= 2^53, u >= lo exactly when (lo - 1 - u) mod 2^64 has its
+/// top bit set, a subtraction and a shift in any vector unit (SSE2 has no
+/// 64-bit compare).  Also the draws per edge.
+struct Quadrants {
+  std::uint64_t a;    // ceil(a * 2^53) - 1
+  std::uint64_t ab;   // ceil((a + b) * 2^53) - 1
+  std::uint64_t abc;  // ceil((a + b + c) * 2^53) - 1
+  unsigned scale;
+};
+
+/// Walk `edges` edges in every lane, each exactly as the sequential walk
+/// draws them, and write lane l's e-th source (and destination when kDst)
+/// to src[l * stride + e] (dst[...]), before the ID scramble.  Every lane
+/// walks the same count; the caller ignores what a lane writes past the
+/// end of a short chunk, or at all when the lane has no chunk.
+template <bool kDst>
+[[gnu::always_inline]] inline void sample_lanes(LaneStates& st, const Quadrants& q,
+                                                std::size_t edges, VertexId* src,
+                                                VertexId* dst, std::size_t stride) {
+  Words s0{}, s1{}, s2{}, s3{};
+  std::memcpy(&s0, st.s[0], sizeof s0);
+  std::memcpy(&s1, st.s[1], sizeof s1);
+  std::memcpy(&s2, st.s[2], sizeof s2);
+  std::memcpy(&s3, st.s[3], sizeof s3);
+  const Words a = Words{} + q.a;
+  const Words ab = Words{} + q.ab;
+  const Words abc = Words{} + q.abc;
+  for (std::size_t e = 0; e < edges; ++e) {
+    Words x{}, y{};
+    for (unsigned bit = 0; bit < q.scale; ++bit) {
+      Words out{};
+      Rng::step(s0, s1, s2, s3, out);
+      const Words u = out >> 11;
+      const Words right = (ab - u) >> 63;  // u >= lo_ab: quadrant c or d
+      x = (x << 1) | right;
+      if constexpr (kDst) y = (y << 1) | (((a - u) >> 63) ^ right ^ ((abc - u) >> 63));
+    }
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      src[l * stride + e] = static_cast<VertexId>(x[l]);
+      if constexpr (kDst) dst[l * stride + e] = static_cast<VertexId>(y[l]);
+    }
+  }
+  std::memcpy(st.s[0], &s0, sizeof s0);
+  std::memcpy(st.s[1], &s1, sizeof s1);
+  std::memcpy(st.s[2], &s2, sizeof s2);
+  std::memcpy(st.s[3], &s3, sizeof s3);
+}
+
+COOLPIM_STENCIL_CLONES
+void sample_sources(LaneStates& st, const Quadrants& q, std::size_t edges, VertexId* src,
+                    std::size_t stride) {
+  sample_lanes<false>(st, q, edges, src, nullptr, stride);
+}
+
+COOLPIM_STENCIL_CLONES
+void sample_edges(LaneStates& st, const Quadrants& q, std::size_t edges, VertexId* src,
+                  VertexId* dst, std::size_t stride) {
+  sample_lanes<true>(st, q, edges, src, dst, stride);
+}
 
 std::vector<std::uint32_t> random_weights(Rng& rng, std::size_t n, std::uint32_t max_weight) {
   std::vector<std::uint32_t> w(n);
@@ -61,16 +141,20 @@ CsrGraph make_rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
   // thresholds are ordered lo_a <= lo_ab <= lo_abc, so "bottom half within
   // the chosen column" (u >= lo_a when sx = 0, u >= lo_abc when sx = 1) is
   // (u >= lo_a) ^ sx ^ (u >= lo_abc), without a table load.
-  const auto lo_a = static_cast<std::uint64_t>(std::ceil(params.a * 0x1p53));
-  const auto lo_ab = static_cast<std::uint64_t>(std::ceil((params.a + params.b) * 0x1p53));
-  const auto lo_abc =
-      static_cast<std::uint64_t>(std::ceil((params.a + params.b + params.c) * 0x1p53));
+  const auto less_one = [](double t) {
+    return static_cast<std::uint64_t>(std::ceil(t * 0x1p53)) - 1;  // wraps for t = 0
+  };
+  const Quadrants quadrants{less_one(params.a), less_one(params.a + params.b),
+                            less_one(params.a + params.b + params.c), scale};
 
   // Edge e consumes draws [e * scale, (e + 1) * scale) after the scramble.
   // Chunk c starts from that state jumped by c * kEdgesPerChunk * scale
   // draws, so the chunks sample in parallel and still produce the edges,
   // in order, of one sequential walk.
   const std::size_t chunks = static_cast<std::size_t>((m + kEdgesPerChunk - 1) / kEdgesPerChunk);
+  const auto chunk_edges = [&](std::size_t c) {
+    return static_cast<std::size_t>(std::min(kEdgesPerChunk, m - c * kEdgesPerChunk));
+  };
   std::vector<Rng> chunk_rng(chunks, rng);
   if (chunks > 1) {
     const RngJump next_chunk{static_cast<__uint128_t>(kEdgesPerChunk) * scale};
@@ -79,43 +163,91 @@ CsrGraph make_rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
       chunk_rng[c].advance(next_chunk);
     }
   }
-  std::vector<std::pair<VertexId, VertexId>> edges(m);
-  const auto sample = [&](std::size_t c) {
-    Rng r = chunk_rng[c];  // a local copy: neighbouring chunks' states share cache lines
-    const EdgeId lo = static_cast<EdgeId>(c) * kEdgesPerChunk;
-    const EdgeId hi = std::min(m, lo + kEdgesPerChunk);
-    for (EdgeId e = lo; e < hi; ++e) {
-      VertexId src = 0, dst = 0;
-      for (unsigned bit = 0; bit < scale; ++bit) {
-        const std::uint64_t u = r.next_u64() >> 11;
-        const unsigned sx = u >= lo_ab;  // right half (quadrants c/d)
-        const unsigned sy = static_cast<unsigned>(u >= lo_a) ^ sx ^
-                            static_cast<unsigned>(u >= lo_abc);  // bottom half
-        src = (src << 1) | sx;
-        dst = (dst << 1) | sy;
-      }
-      edges[e] = {src, dst};
+
+  // The weights follow the last edge's draws, m * scale draws after the
+  // scramble, one next_in() per edge.  It may reject a draw unless the span
+  // is a power of two, so a serial walk of the weight draws records where
+  // each chunk's weights start (48 bytes a chunk).
+  std::vector<Rng> weight_rng;
+  if (params.weighted && chunks > 0) {
+    Rng w = rng;
+    w.advance(RngJump{static_cast<__uint128_t>(m) * scale});
+    weight_rng.reserve(chunks);
+    for (std::size_t c = 0; c < chunks; ++c) {
+      weight_rng.push_back(w);
+      for (std::size_t e = chunk_edges(c); e > 0; --e) (void)w.next_in(1, params.max_weight);
     }
-    if (params.scramble_ids) {
-      for (EdgeId e = lo; e < hi; ++e) edges[e] = {perm[edges[e].first], perm[edges[e].second]};
-    }
-    chunk_rng[c] = r;
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(chunks, sample);
-  } else {
-    for (std::size_t c = 0; c < chunks; ++c) sample(c);
   }
 
-  // Weights follow the last edge's draws, where the last chunk's generator
-  // stopped.  Serial, like the scramble: next_in() may reject a draw unless
-  // the span is a power of two.
-  std::vector<std::uint32_t> weights;
-  if (params.weighted) {
-    if (chunks > 0) rng = chunk_rng.back();
-    weights = random_weights(rng, edges.size(), params.max_weight);
-  }
-  return CsrGraph::from_edges(n, std::move(edges), std::move(weights), pool);
+  // One contiguous group of chunks per pool participant (one on the caller
+  // without a pool), walked kLanes chunks at a time.  A lane set's lanes
+  // past the group's last chunk walk from a zero state, ignored.
+  const std::size_t groups =
+      std::min<std::size_t>(pool != nullptr ? pool->size() : 1, chunks);
+  const auto first_chunk = [&](std::size_t g) { return g * chunks / groups; };
+  struct LaneSet {
+    LaneStates states{};
+    std::array<std::size_t, kLanes> edges{};  // 0 for a lane with no chunk
+    std::size_t longest{0};
+  };
+  const auto lane_set = [&](std::size_t c, std::size_t end) {
+    LaneSet set;
+    for (std::size_t l = 0; l < kLanes && c + l < end; ++l) {
+      const auto& s = chunk_rng[c + l].state();
+      for (std::size_t w = 0; w < 4; ++w) set.states.s[w][l] = s[w];
+      set.edges[l] = chunk_edges(c + l);
+      set.longest = std::max(set.longest, set.edges[l]);
+    }
+    return set;
+  };
+
+  // Two passes over the same draws, and no edge list: the first counts
+  // each group's sources block by block, the second samples a lane set
+  // again into a per-group buffer (2 MiB) and scatters its lanes one after
+  // another, drawing each edge's weight as it goes, so every source keeps
+  // the walk's order.  Both key the edges by their pre-scramble source;
+  // build_csr maps keys to vertices once per vertex, not once per edge.
+  detail::EdgeGroups sampled;
+  sampled.groups = groups;
+  sampled.weighted = params.weighted;
+  sampled.vertex_of_key = perm;
+  sampled.count = [&](std::size_t g, EdgeId* count) {
+    std::array<VertexId, kLanes * kCountBlock> block{};
+    const std::size_t end = first_chunk(g + 1);
+    for (std::size_t c = first_chunk(g); c < end; c += kLanes) {
+      LaneSet set = lane_set(c, end);
+      for (std::size_t base = 0; base < set.longest; base += kCountBlock) {
+        const std::size_t len = std::min(kCountBlock, set.longest - base);
+        sample_sources(set.states, quadrants, len, block.data(), kCountBlock);
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          const std::size_t valid = set.edges[l] > base ? std::min(len, set.edges[l] - base) : 0;
+          for (std::size_t e = 0; e < valid; ++e) ++count[block[l * kCountBlock + e]];
+        }
+      }
+    }
+  };
+  sampled.scatter = [&](std::size_t g, const detail::CsrCursors& out) {
+    const std::size_t stride = chunk_edges(0);
+    std::vector<VertexId> src(kLanes * stride), dst(kLanes * stride);
+    const std::size_t end = first_chunk(g + 1);
+    for (std::size_t c = first_chunk(g); c < end; c += kLanes) {
+      LaneSet set = lane_set(c, end);
+      sample_edges(set.states, quadrants, set.longest, src.data(), dst.data(), stride);
+      for (std::size_t l = 0; l < kLanes && c + l < end; ++l) {
+        const VertexId* const from = src.data() + l * stride;
+        const VertexId* const to = dst.data() + l * stride;
+        Rng w = out.weights != nullptr ? weight_rng[c + l] : Rng{};
+        for (std::size_t e = 0; e < set.edges[l]; ++e) {
+          const EdgeId pos = out.next[from[e]]++;
+          out.col_idx[pos] = perm[to[e]];
+          if (out.weights != nullptr) {
+            out.weights[pos] = static_cast<std::uint32_t>(w.next_in(1, params.max_weight));
+          }
+        }
+      }
+    }
+  };
+  return detail::build_csr(n, sampled, pool);
 }
 
 CsrGraph make_ldbc_like(unsigned scale, std::uint64_t seed, runner::Pool* pool) {

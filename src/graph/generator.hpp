@@ -28,9 +28,12 @@ struct RmatParams {
 /// RMAT graph with 2^scale vertices and edge_factor * 2^scale edges.
 /// The graph is that of one sequential RNG walk: ID scramble, `scale` draws
 /// per edge, then one weight per edge.  The edges are sampled in fixed
-/// chunks of 2^16, each started from the walk's state by an RngJump, so the
-/// sampling and the CSR build fan out over `pool` when given, with
-/// bit-identical output at any jobs count.  The scramble and the weights
+/// chunks of 2^16, each started from the walk's state by an RngJump, four
+/// chunks per vector.  They are never held as a list: one pass counts the
+/// sources, a second draws the same edges again and scatters each one, with
+/// its weight, straight into the CSR.  Both passes fan out over `pool` when
+/// given, with bit-identical output at any jobs count.  The scramble and a
+/// walk of the weight draws that finds where each chunk's weights start
 /// stay serial.
 [[nodiscard]] CsrGraph make_rmat(unsigned scale, unsigned edge_factor, std::uint64_t seed,
                                  const RmatParams& params = {},

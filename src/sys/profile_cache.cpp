@@ -16,6 +16,13 @@ namespace {
 
 constexpr char kMagic[8] = {'C', 'P', 'P', 'R', 'O', 'F', '0', '1'};
 
+/// The fewest payload bytes a profile takes (empty name: length, three
+/// 1-byte tags, vertex count, edge count, checksum, iteration count) and the
+/// bytes of one iteration record (10 fixed 8-byte fields).  A count the
+/// remaining bytes cannot hold is rejected before anything is sized by it.
+constexpr std::size_t kMinProfileBytes = 4 + 3 + 4 + 3 * 8;
+constexpr std::size_t kIterationBytes = 10 * 8;
+
 std::uint64_t payload_hash(std::string_view payload) {
   HashStream h;
   h.bytes(payload.data(), payload.size());
@@ -86,6 +93,7 @@ class Reader {
   }
 
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
@@ -127,9 +135,7 @@ bool read_profile(Reader& r, graph::WorkloadProfile& p) {
   p.driver = static_cast<graph::Driver>(driver);
   p.parallelism = static_cast<graph::Parallelism>(parallelism);
   p.atomic_kind = static_cast<hmc::PimOpcode>(atomic);
-  // An iteration record is 10 fixed 8-byte fields; reject counts the
-  // remaining bytes cannot possibly hold before resizing.
-  if (iters > (1ull << 32)) return false;
+  if (iters > r.remaining() / kIterationBytes) return false;
   p.iterations.resize(iters);
   for (auto& it : p.iterations) {
     if (!r.u64(it.scanned_vertices) || !r.u64(it.active_vertices) ||
@@ -218,6 +224,7 @@ bool load_profiles(const std::string& dir, std::uint64_t key,
   std::uint64_t stored_key = 0;
   if (!r.u32(version) || !r.u64(stored_key) || !r.u32(count)) return false;
   if (version != kProfileFormatVersion || stored_key != key) return false;
+  if (count > r.remaining() / kMinProfileBytes) return false;
 
   out.resize(count);
   for (auto& p : out) {

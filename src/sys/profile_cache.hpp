@@ -46,7 +46,10 @@ bool save_profiles(const std::string& dir, std::uint64_t key,
 
 /// Load the entry for `key` from `dir` into `out`.  Returns false on any
 /// integrity failure (missing file, bad magic/version/key, payload hash
-/// mismatch, truncation); `out` is left empty in that case.
+/// mismatch, truncation, a profile or iteration count the payload is too
+/// short to hold); `out` is left empty in that case.  Counts are checked
+/// against the payload before anything is sized by them, so a bad entry
+/// allocates no more than a few times its file's size.
 bool load_profiles(const std::string& dir, std::uint64_t key,
                    std::vector<graph::WorkloadProfile>& out);
 

@@ -1,16 +1,78 @@
 // Tests for the synthetic graph generators.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include "common/error.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <limits>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generator.hpp"
 #include "runner/pool.hpp"
 #include "support/rmat_reference.hpp"
+
+// GCC pairs the inlined replacement operator new with std::free and reports a
+// false mismatch; the replacement new below really does malloc.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+
+namespace {
+
+// Live and peak heap bytes through operator new (this test is its own
+// binary, so the override sees every allocation here).  Sizes are malloc's
+// usable sizes, so an unsized delete subtracts what its new added.
+std::atomic<std::int64_t> g_live_bytes{0};
+std::atomic<std::int64_t> g_peak_bytes{0};
+
+void note_alloc(void* p) {
+  if (p == nullptr) return;
+  const auto size = static_cast<std::int64_t>(malloc_usable_size(p));
+  const std::int64_t live = g_live_bytes.fetch_add(size, std::memory_order_relaxed) + size;
+  std::int64_t peak = g_peak_bytes.load(std::memory_order_relaxed);
+  while (live > peak &&
+         !g_peak_bytes.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
+  }
+}
+
+void note_free(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  void* p = std::malloc(size ? size : 1);
+  if (p == nullptr) throw std::bad_alloc{};
+  note_alloc(p);
+  return p;
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// The nothrow forms are replaced too: ASan routes them through their own
+// entry points, and what they return is released by the delete below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  void* p = std::malloc(size ? size : 1);
+  note_alloc(p);
+  return p;
+}
+void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
+  return ::operator new(size, tag);
+}
+void operator delete(void* p) noexcept {
+  note_free(p);
+  std::free(p);
+}
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace coolpim::graph {
 namespace {
@@ -90,35 +152,82 @@ TEST(RmatTest, ZeroMaxWeightThrowsOnlyWhenWeighted) {
 
 // The chunked, jump-ahead sampler against the sequential walk it replaced,
 // bit for bit: fewer edges than one 2^16 chunk, exactly one chunk, several,
-// and a count that is not a multiple of the chunk; every pool width.
+// and a count that is not a multiple of the chunk; every pool width.  The
+// sampler walks four chunks per vector and splits the chunks into one group
+// per pool participant, so the larger sizes give groups of more than one
+// lane set, lane sets with idle lanes, and a short last chunk: 5 chunks
+// (scale 16 x 5), 9 (scale 16 x 9) and 4.5 (scale 15 x 9).
 TEST(RmatTest, ChunkedSamplingMatchesSequentialWalk) {
+  std::vector<std::pair<unsigned, unsigned>> sizes;  // (scale, edge factor)
+  for (const unsigned scale : {1u, 5u, 10u, 12u, 14u}) {
+    for (const unsigned edge_factor : {0u, 1u, 5u, 16u}) sizes.emplace_back(scale, edge_factor);
+  }
+  sizes.insert(sizes.end(), {{16u, 5u}, {16u, 9u}, {15u, 9u}});
   runner::Pool pool1{1}, pool2{2}, pool3{3}, pool8{8};
   runner::Pool* const pools[] = {nullptr, &pool1, &pool2, &pool3, &pool8};
-  for (const unsigned scale : {1u, 5u, 10u, 12u, 14u}) {
-    for (const unsigned edge_factor : {0u, 1u, 5u, 16u}) {
-      for (const bool scramble : {true, false}) {
-        for (const bool weighted : {true, false}) {
-          for (const std::uint32_t max_weight : {64u, 10u}) {
-            const RmatParams p{.scramble_ids = scramble, .weighted = weighted,
-                               .max_weight = max_weight};
-            const std::uint64_t seed = 100 + scale + edge_factor;
-            const CsrGraph want = reference_rmat(scale, edge_factor, seed, p);
-            for (runner::Pool* pool : pools) {
-              SCOPED_TRACE(::testing::Message()
-                           << "scale " << scale << " ef " << edge_factor << " scramble "
-                           << scramble << " weighted " << weighted << " max_weight "
-                           << max_weight << " jobs " << (pool ? pool->size() : 0));
-              const CsrGraph got = make_rmat(scale, edge_factor, seed, p, pool);
-              ASSERT_EQ(got.row_ptr(), want.row_ptr());
-              ASSERT_EQ(got.col_idx(), want.col_idx());
-              ASSERT_EQ(got.weights(), want.weights());
-              ASSERT_EQ(got.degrees(), want.degrees());
-            }
+  for (const auto& [scale, edge_factor] : sizes) {
+    for (const bool scramble : {true, false}) {
+      for (const bool weighted : {true, false}) {
+        for (const std::uint32_t max_weight : {64u, 10u}) {
+          const RmatParams p{.scramble_ids = scramble, .weighted = weighted,
+                             .max_weight = max_weight};
+          const std::uint64_t seed = 100 + scale + edge_factor;
+          const CsrGraph want = reference_rmat(scale, edge_factor, seed, p);
+          for (runner::Pool* pool : pools) {
+            SCOPED_TRACE(::testing::Message()
+                         << "scale " << scale << " ef " << edge_factor << " scramble "
+                         << scramble << " weighted " << weighted << " max_weight "
+                         << max_weight << " jobs " << (pool ? pool->size() : 0));
+            const CsrGraph got = make_rmat(scale, edge_factor, seed, p, pool);
+            ASSERT_EQ(got.row_ptr(), want.row_ptr());
+            ASSERT_EQ(got.col_idx(), want.col_idx());
+            ASSERT_EQ(got.weights(), want.weights());
+            ASSERT_EQ(got.degrees(), want.degrees());
           }
         }
       }
     }
   }
+}
+
+// Quadrant thresholds at the ends of [0, 2^53]: the vector sampler tests
+// u >= lo through lo - 1, which wraps for lo = 0.
+TEST(RmatTest, ExtremeQuadrantsMatchSequentialWalk) {
+  runner::Pool pool{2};
+  const RmatParams cases[] = {{.a = 1.0, .b = 0.0, .c = 0.0},
+                              {.a = 0.0, .b = 0.0, .c = 0.0},
+                              {.a = 0.0, .b = 1.0, .c = 0.0},
+                              {.a = 0.0, .b = 0.0, .c = 1.0},
+                              {.a = 0.0, .b = 0.5, .c = 0.5},
+                              {.a = 0.25, .b = 0.25, .c = 0.25}};
+  for (const RmatParams& p : cases) {
+    SCOPED_TRACE(::testing::Message() << "a " << p.a << " b " << p.b << " c " << p.c);
+    const CsrGraph want = reference_rmat(13, 9, 5, p);
+    for (runner::Pool* with : {static_cast<runner::Pool*>(nullptr), &pool}) {
+      const CsrGraph got = make_rmat(13, 9, 5, p, with);
+      ASSERT_EQ(got.row_ptr(), want.row_ptr());
+      ASSERT_EQ(got.col_idx(), want.col_idx());
+      ASSERT_EQ(got.weights(), want.weights());
+    }
+  }
+}
+
+// make_rmat builds the CSR straight from its sampler: besides the finished
+// graph it holds the ID scramble, one count table per group and a few MiB of
+// sampler buffers, well under 4 bytes per edge at scale 18.  An edge list
+// (8 bytes per edge) and a separate weight vector (4 more) would not fit.
+TEST(RmatTest, BuildHoldsNoEdgeList) {
+  runner::Pool pool{2};
+  const std::int64_t before = g_live_bytes.load();
+  g_peak_bytes.store(before);
+  const CsrGraph g = make_rmat(18, 16, 7, {}, &pool);
+  const std::int64_t peak = g_peak_bytes.load() - before;
+  const auto graph_bytes = static_cast<std::int64_t>(
+      g.structure_bytes() + g.degrees().size() * sizeof(std::uint32_t));
+  const auto per_edge = static_cast<std::int64_t>(4 * g.num_edges());
+  EXPECT_LT(peak, graph_bytes + per_edge)
+      << "peak " << peak << " B, graph " << graph_bytes << " B, " << g.num_edges() << " edges";
+  EXPECT_GT(peak, graph_bytes) << "the counter missed the graph's own arrays";
 }
 
 TEST(RmatTest, WeightsInRange) {

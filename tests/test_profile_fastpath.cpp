@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/hash.hpp"
 #include "graph/generator.hpp"
 #include "graph/simt.hpp"
 #include "obs/counters.hpp"
@@ -276,6 +277,73 @@ TEST_F(ProfileCacheTest, StaleEntryWithWrongGraphShapeIsRejected) {
   EXPECT_EQ(rebuilt.build_stats().cache_misses, 1u);
   EXPECT_EQ(rebuilt.build_stats().profiles_computed, rebuilt.all().size());
   expect_profiles_identical(cold.all(), rebuilt.all());
+}
+
+// Writes an entry for `key` whose payload is `payload`, with a valid magic
+// and hash trailer, as save_profiles() would.
+void write_entry(const std::string& dir, std::uint64_t key, const std::string& payload) {
+  std::filesystem::create_directories(dir);
+  std::ofstream out{sys::profile_cache_file(dir, key), std::ios::binary | std::ios::trunc};
+  out.write("CPPROF01", 8);
+  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  HashStream h;
+  h.bytes(payload.data(), payload.size());
+  for (int i = 0; i < 8; ++i) out.put(static_cast<char>((h.digest() >> (8 * i)) & 0xff));
+}
+
+void put_u32(std::string& s, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+void put_u64(std::string& s, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+}
+
+// An intact entry (magic, version, key and hash all valid) whose counts
+// claim more than its payload holds must fall back to recompute, not size a
+// vector by them: 2^32 - 1 profiles or 2^32 iteration records would ask
+// the allocator for hundreds of GB, and its std::bad_alloc escaped the
+// WorkloadSet constructor.
+TEST_F(ProfileCacheTest, ProfileCountBeyondPayloadFallsBackToRecompute) {
+  const auto key = sys::profile_cache_key(11, 3, false);
+  std::string payload;
+  put_u32(payload, sys::kProfileFormatVersion);
+  put_u64(payload, key);
+  put_u32(payload, 0xffff'ffffu);  // profiles; none follow
+  write_entry(dir_, key, payload);
+  std::vector<graph::WorkloadProfile> loaded;
+  EXPECT_FALSE(sys::load_profiles(dir_, key, loaded));
+  EXPECT_TRUE(loaded.empty());
+
+  const sys::WorkloadSet rebuilt = build();
+  EXPECT_EQ(rebuilt.build_stats().cache_hits, 0u);
+  EXPECT_EQ(rebuilt.build_stats().cache_misses, 1u);
+  EXPECT_EQ(rebuilt.build_stats().profiles_computed, rebuilt.all().size());
+  EXPECT_TRUE(rebuilt.build_stats().cache_stored);
+}
+
+TEST_F(ProfileCacheTest, IterationCountBeyondPayloadFallsBackToRecompute) {
+  const auto key = sys::profile_cache_key(11, 3, false);
+  std::string payload;
+  put_u32(payload, sys::kProfileFormatVersion);
+  put_u64(payload, key);
+  put_u32(payload, 1);  // one profile ...
+  put_u32(payload, 2);
+  payload += "dc";
+  payload += std::string(3, '\0');  // three 1-byte tags, all 0
+  put_u32(payload, 1u << 11);
+  put_u64(payload, 16u << 11);
+  put_u64(payload, 0);               // checksum
+  put_u64(payload, 1ull << 32);      // ... claiming 2^32 iterations; none follow
+  write_entry(dir_, key, payload);
+  std::vector<graph::WorkloadProfile> loaded;
+  EXPECT_FALSE(sys::load_profiles(dir_, key, loaded));
+  EXPECT_TRUE(loaded.empty());
+
+  const sys::WorkloadSet rebuilt = build();
+  EXPECT_EQ(rebuilt.build_stats().cache_hits, 0u);
+  EXPECT_EQ(rebuilt.build_stats().cache_misses, 1u);
+  EXPECT_EQ(rebuilt.build_stats().profiles_computed, rebuilt.all().size());
+  EXPECT_TRUE(rebuilt.build_stats().cache_stored);
 }
 
 TEST_F(ProfileCacheTest, KeySeparatesIdentities) {
