@@ -1,15 +1,12 @@
 // Perf harness for the simulation kernel, emitted as BENCH_sim.json.
 //
-// Three measurements:
+// Two measurements:
 //
 //  - queue: raw event throughput through sim::Simulation / sim::EventQueue.
 //    A fan of self-rescheduling one-shot chains with co-prime periods keeps
 //    the 4-ary heap populated and exercises schedule+pop per event.  The
 //    hop functor captures one pointer, so every event stays in EventAction's
 //    inline buffer -- zero heap allocations per event.
-//
-//  - periodic: the schedule_periodic re-arm path (shared state + inline
-//    re-arm functor), as used by every component tick in the full system.
 //
 //  - backend (gated): the hmc::Backend fidelity tiers (DESIGN.md section
 //    15).  Cross-validates the analytic epoch-throughput tier against the
@@ -73,24 +70,6 @@ QueueResult measure_queue(std::uint64_t total_events) {
   }
   bench::StopWatch clock;
   for (auto& c : chains) sim.schedule_in(c.period, Hop{&c});
-  sim.run_to_completion();
-  QueueResult r{};
-  r.events = sim.events_processed();
-  r.wall_ms = clock.elapsed_ms();
-  r.events_per_sec = static_cast<double>(r.events) / (r.wall_ms * 1e-3);
-  r.ns_per_event = r.wall_ms * 1e6 / static_cast<double>(r.events);
-  return r;
-}
-
-QueueResult measure_periodic(std::uint64_t total_events) {
-  constexpr std::uint64_t kTasks = 16;
-  sim::Simulation sim;
-  bench::StopWatch clock;
-  for (std::uint64_t i = 0; i < kTasks; ++i) {
-    auto remaining = total_events / kTasks;
-    sim.schedule_periodic(Time::ns(100.0 + 7.0 * i),
-                          [remaining]() mutable { return --remaining > 0; });
-  }
   sim.run_to_completion();
   QueueResult r{};
   r.events = sim.events_processed();
@@ -164,23 +143,16 @@ int main(int argc, char** argv) {
   const std::uint64_t queue_events = quick ? 100'000 : 2'000'000;
 
   const QueueResult q = measure_queue(queue_events);
-  const QueueResult p = measure_periodic(queue_events / 4);
   const BackendResult be = measure_backends(quick);
 
   bench::JsonWriter json;
-  json.kv("schema", "coolpim-bench-sim/6");
+  json.kv("schema", "coolpim-bench-sim/7");
   json.kv("quick", quick);
   json.begin_object("queue");
   json.kv("events", q.events);
   json.kv("wall_ms", q.wall_ms);
   json.kv("events_per_sec", q.events_per_sec);
   json.kv("ns_per_event", q.ns_per_event);
-  json.end();
-  json.begin_object("periodic");
-  json.kv("events", p.events);
-  json.kv("wall_ms", p.wall_ms);
-  json.kv("events_per_sec", p.events_per_sec);
-  json.kv("ns_per_event", p.ns_per_event);
   json.end();
   json.begin_object("backend");
   json.kv("xval_epochs", static_cast<std::uint64_t>(be.xval_epochs));
@@ -209,7 +181,6 @@ int main(int argc, char** argv) {
   std::cout << doc;
   std::cout << "Queue:     " << q.events_per_sec / 1e6 << " M events/s (" << q.ns_per_event
             << " ns/event)\n"
-            << "Periodic:  " << p.events_per_sec / 1e6 << " M events/s\n"
             << "Backend:   serve cost " << be.epoch_throughput_ns_per_epoch << " / "
             << be.pim_vault_ns_per_epoch
             << " ns per epoch (epoch-throughput / pim-vault); xval "

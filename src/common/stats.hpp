@@ -5,7 +5,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -33,7 +32,6 @@ class Summary {
   [[nodiscard]] double variance() const {
     return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
   }
-  [[nodiscard]] double stddev() const { return std::sqrt(variance()); }
 
  private:
   std::uint64_t n_{0};

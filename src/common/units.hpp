@@ -69,7 +69,6 @@ class Time {
 class Frequency {
  public:
   constexpr Frequency() = default;
-  [[nodiscard]] static constexpr Frequency hz(double v) { return Frequency{v}; }
   [[nodiscard]] static constexpr Frequency mhz(double v) { return Frequency{v * 1e6}; }
   [[nodiscard]] static constexpr Frequency ghz(double v) { return Frequency{v * 1e9}; }
 

@@ -12,7 +12,6 @@ SwDynT::SwDynT(const SwDynTConfig& cfg)
       coalesce_{cfg.update_interval} {}
 
 void SwDynT::on_thermal_warning(Time now, Time raised_at) {
-  ++warnings_;
   // Coalesce warnings within the thermal response window, keyed on the time
   // the device *raised* the warning: a delayed or out-of-order duplicate of
   // an already-handled excursion is stale and must not shrink the pool again.

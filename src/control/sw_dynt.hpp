@@ -47,7 +47,6 @@ class SwDynT final : public Policy {
 
   [[nodiscard]] const TokenPool& pool() const { return pool_; }
   [[nodiscard]] std::uint32_t initial_pool_size() const { return initial_size_; }
-  [[nodiscard]] std::uint64_t warnings_received() const { return warnings_; }
   [[nodiscard]] std::uint64_t shadow_launches() const { return shadow_launches_; }
 
  private:
@@ -59,7 +58,6 @@ class SwDynT final : public Policy {
   Time pending_until_{Time::zero()};   // pending interrupt completion
   bool has_pending_{false};
   WarningCoalescer coalesce_;
-  std::uint64_t warnings_{0};
   std::uint64_t shadow_launches_{0};
 };
 

@@ -86,7 +86,6 @@ class FaultPlan {
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
   [[nodiscard]] bool in_outage() const { return in_outage_; }
-  [[nodiscard]] bool sensor_stuck() const { return sensor_stuck_; }
   [[nodiscard]] const FaultConfig& config() const { return cfg_; }
 
  private:

@@ -96,12 +96,6 @@ void sample_edges(LaneStates& st, const Quadrants& q, std::size_t edges, VertexI
   sample_lanes<true>(st, q, edges, src, dst, stride);
 }
 
-std::vector<std::uint32_t> random_weights(Rng& rng, std::size_t n, std::uint32_t max_weight) {
-  std::vector<std::uint32_t> w(n);
-  for (auto& x : w) x = static_cast<std::uint32_t>(rng.next_in(1, max_weight));
-  return w;
-}
-
 void require_probability(double p, const char* field) {
   COOLPIM_REQUIRE(std::isfinite(p) && p >= 0.0 && p <= 1.0,
                   std::string{"rmat "} + field + " must be a probability in [0, 1]");
@@ -255,43 +249,6 @@ CsrGraph make_ldbc_like(unsigned scale, std::uint64_t seed, runner::Pool* pool) 
   // skewed tail; RMAT at edge factor 16 with the Graph500 parameters matches
   // the degree skew graph workloads are sensitive to.
   return make_rmat(scale, 16, seed, {}, pool);
-}
-
-CsrGraph make_uniform(VertexId num_vertices, EdgeId num_edges, std::uint64_t seed,
-                      bool weighted) {
-  COOLPIM_REQUIRE(num_vertices > 0, "graph needs vertices");
-  Rng rng{seed};
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(num_edges);
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    edges.emplace_back(static_cast<VertexId>(rng.next_below(num_vertices)),
-                       static_cast<VertexId>(rng.next_below(num_vertices)));
-  }
-  std::vector<std::uint32_t> weights;
-  if (weighted) weights = random_weights(rng, edges.size(), 64);
-  return CsrGraph::from_edges(num_vertices, std::move(edges), std::move(weights));
-}
-
-CsrGraph make_grid(VertexId width, VertexId height, bool weighted) {
-  COOLPIM_REQUIRE(width > 0 && height > 0, "grid needs positive dimensions");
-  const VertexId n = width * height;
-  std::vector<std::pair<VertexId, VertexId>> edges;
-  edges.reserve(static_cast<std::size_t>(n) * 4);
-  auto id = [width](VertexId x, VertexId y) { return y * width + x; };
-  for (VertexId y = 0; y < height; ++y) {
-    for (VertexId x = 0; x < width; ++x) {
-      edges.emplace_back(id(x, y), id((x + 1) % width, y));
-      edges.emplace_back(id(x, y), id((x + width - 1) % width, y));
-      edges.emplace_back(id(x, y), id(x, (y + 1) % height));
-      edges.emplace_back(id(x, y), id(x, (y + height - 1) % height));
-    }
-  }
-  std::vector<std::uint32_t> weights;
-  if (weighted) {
-    Rng rng{42};
-    weights = random_weights(rng, edges.size(), 64);
-  }
-  return CsrGraph::from_edges(n, std::move(edges), std::move(weights));
 }
 
 }  // namespace coolpim::graph

@@ -1,9 +1,8 @@
-// Synthetic graph generators.
+// Synthetic graph generator.
 //
 // The paper evaluates on the LDBC social-network dataset; we stand in with an
 // RMAT/Kronecker generator parameterized to produce the same skewed,
 // power-law degree structure LDBC graphs exhibit (DESIGN.md section 2).
-// Uniform and grid generators provide contrast cases for tests and examples.
 #pragma once
 
 #include <cstdint>
@@ -42,12 +41,5 @@ struct RmatParams {
 /// "LDBC-like" social network: RMAT with LDBC-interactive-like skew.
 [[nodiscard]] CsrGraph make_ldbc_like(unsigned scale, std::uint64_t seed,
                                       runner::Pool* pool = nullptr);
-
-/// Erdos-Renyi style uniform random graph (by edge sampling).
-[[nodiscard]] CsrGraph make_uniform(VertexId num_vertices, EdgeId num_edges,
-                                    std::uint64_t seed, bool weighted = true);
-
-/// 2D grid (4-neighbour torus): regular degrees, zero divergence contrast.
-[[nodiscard]] CsrGraph make_grid(VertexId width, VertexId height, bool weighted = true);
 
 }  // namespace coolpim::graph

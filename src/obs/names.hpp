@@ -30,8 +30,6 @@ inline constexpr std::string_view kCatFleet = "fleet";
 inline constexpr std::string_view kCatPim = "pim";
 
 // ---- Counters (monotonic event tallies) ------------------------------------
-// sim
-inline constexpr std::string_view kSimEventsDispatched = "sim/events_dispatched";
 // sys
 inline constexpr std::string_view kSysEpochs = "sys/epochs";
 inline constexpr std::string_view kSysShutdowns = "sys/shutdowns";
@@ -108,7 +106,6 @@ inline constexpr std::string_view kAllCategories[] = {
 };
 
 inline constexpr std::string_view kAllCounters[] = {
-    kSimEventsDispatched,
     kSysEpochs,
     kSysShutdowns,
     kSysThermalWarningsDelivered,

@@ -1,10 +1,10 @@
 // Observation contexts: per-run and per-sweep bundles of trace + counters.
 //
-// A RunObserver is owned by exactly one simulation run (single-threaded, like
-// Logger).  A SweepObserver owns one RunObserver per parallel-runner
-// task, allocated at *submission* time on the submitting thread, so worker
-// threads never share observation state and the merged output files are a
-// pure function of submission order -- byte-identical at any --jobs value.
+// A RunObserver is owned by exactly one simulation run (single-threaded).  A
+// SweepObserver owns one RunObserver per parallel-runner task, allocated at
+// *submission* time on the submitting thread, so worker threads never share
+// observation state and the merged output files are a pure function of
+// submission order -- byte-identical at any --jobs value.
 //
 // Output formats:
 //  * write_trace()        -- Chrome trace_event JSON (chrome://tracing,

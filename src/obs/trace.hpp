@@ -66,9 +66,9 @@ struct TraceEvent {
 };
 
 /// Ordered event collector for one simulation run.  Single-threaded by
-/// design: each parallel-runner task owns its own buffer (the same ownership
-/// discipline as Logger), and the sweep writer merges buffers in
-/// submission order so output is independent of scheduling.
+/// design: each parallel-runner task owns its own buffer, and the sweep
+/// writer merges buffers in submission order so output is independent of
+/// scheduling.
 class TraceBuffer {
  public:
   void begin(Time ts, std::string_view cat, std::string_view name, TraceArgs args = {});
@@ -117,25 +117,6 @@ class Trace {
 
  private:
   TraceBuffer* buf_{nullptr};
-};
-
-/// RAII begin/end span over a caller-owned clock variable: reads the clock at
-/// construction and again at destruction, so the span tracks however far the
-/// enclosing scope advanced simulated time.
-class ScopedSpan {
- public:
-  ScopedSpan(Trace trace, const Time& clock, std::string_view cat, std::string_view name,
-             TraceArgs args = {})
-      : trace_{trace}, clock_{&clock} {
-    trace_.begin(*clock_, cat, name, std::move(args));
-  }
-  ~ScopedSpan() { trace_.end(*clock_); }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Trace trace_;
-  const Time* clock_;
 };
 
 /// One process track of a merged trace file (pid = track id; typically one

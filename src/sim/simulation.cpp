@@ -1,36 +1,9 @@
 #include "sim/simulation.hpp"
 
-#include <memory>
-#include <utility>
-
-#include "obs/names.hpp"
-
 namespace coolpim::sim {
 
-void Simulation::schedule_periodic(Time period, std::function<bool()> tick) {
-  COOLPIM_REQUIRE(period > Time::zero(), "periodic tick needs a positive period");
-  // Self-rescheduling closure.  The tick callable is heap-allocated once at
-  // registration; each re-arm copies only {Simulation*, shared_ptr}, which
-  // fits EventAction's inline buffer, so the per-tick event path stays
-  // allocation-free.
-  struct State {
-    Time period;
-    std::function<bool()> tick;
-  };
-  struct Rearm {
-    Simulation* sim;
-    std::shared_ptr<State> state;
-    void operator()() const {
-      if (state->tick()) sim->schedule_in(state->period, Rearm{sim, state});
-    }
-  };
-  auto state = std::make_shared<State>(State{period, std::move(tick)});
-  schedule_in(period, Rearm{this, std::move(state)});
-}
-
 Time Simulation::run_until(Time deadline) {
-  stop_requested_ = false;
-  while (!queue_.empty() && !stop_requested_) {
+  while (!queue_.empty()) {
     if (queue_.next_time() > deadline) {
       now_ = deadline;
       return now_;
@@ -38,16 +11,9 @@ Time Simulation::run_until(Time deadline) {
     auto [t, action] = queue_.pop();
     now_ = t;
     ++events_processed_;
-    if (trace_.enabled()) {
-      trace_.counter(now_, obs::names::kCatSim, "queue_depth", static_cast<double>(queue_.size()));
-      obs::ScopedSpan span{trace_, now_, obs::names::kCatSim, "dispatch"};
-      action();
-    } else {
-      action();
-    }
-    if (counters_) counters_->counter(obs::names::kSimEventsDispatched).add();
+    action();
   }
-  if (queue_.empty() && deadline != Time::max() && now_ < deadline) now_ = deadline;
+  if (deadline != Time::max() && now_ < deadline) now_ = deadline;
   return now_;
 }
 

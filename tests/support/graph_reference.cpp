@@ -1,13 +1,65 @@
-#include "graph/reference.hpp"
+#include "support/graph_reference.hpp"
 
 #include <algorithm>
 #include <deque>
 #include <functional>
 #include <queue>
+#include <utility>
 
+#include "common/error.hpp"
+#include "common/rng.hpp"
 #include "graph/workloads.hpp"
 
-namespace coolpim::graph::reference {
+namespace coolpim::graph {
+
+namespace {
+
+std::vector<std::uint32_t> random_weights(Rng& rng, std::size_t n, std::uint32_t max_weight) {
+  std::vector<std::uint32_t> w(n);
+  for (auto& x : w) x = static_cast<std::uint32_t>(rng.next_in(1, max_weight));
+  return w;
+}
+
+}  // namespace
+
+CsrGraph make_uniform(VertexId num_vertices, EdgeId num_edges, std::uint64_t seed,
+                      bool weighted) {
+  COOLPIM_REQUIRE(num_vertices > 0, "graph needs vertices");
+  Rng rng{seed};
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  edges.reserve(num_edges);
+  for (EdgeId e = 0; e < num_edges; ++e) {
+    edges.emplace_back(static_cast<VertexId>(rng.next_below(num_vertices)),
+                       static_cast<VertexId>(rng.next_below(num_vertices)));
+  }
+  std::vector<std::uint32_t> weights;
+  if (weighted) weights = random_weights(rng, edges.size(), 64);
+  return CsrGraph::from_edges(num_vertices, std::move(edges), std::move(weights));
+}
+
+CsrGraph make_grid(VertexId width, VertexId height, bool weighted) {
+  COOLPIM_REQUIRE(width > 0 && height > 0, "grid needs positive dimensions");
+  const VertexId n = width * height;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  edges.reserve(static_cast<std::size_t>(n) * 4);
+  auto id = [width](VertexId x, VertexId y) { return y * width + x; };
+  for (VertexId y = 0; y < height; ++y) {
+    for (VertexId x = 0; x < width; ++x) {
+      edges.emplace_back(id(x, y), id((x + 1) % width, y));
+      edges.emplace_back(id(x, y), id((x + width - 1) % width, y));
+      edges.emplace_back(id(x, y), id(x, (y + 1) % height));
+      edges.emplace_back(id(x, y), id(x, (y + height - 1) % height));
+    }
+  }
+  std::vector<std::uint32_t> weights;
+  if (weighted) {
+    Rng rng{42};
+    weights = random_weights(rng, edges.size(), 64);
+  }
+  return CsrGraph::from_edges(n, std::move(edges), std::move(weights));
+}
+
+namespace reference {
 
 std::vector<std::uint32_t> bfs_levels(const CsrGraph& g, VertexId source) {
   std::vector<std::uint32_t> level(g.num_vertices(), kUnreached);
@@ -160,4 +212,5 @@ std::uint64_t triangle_count(const CsrGraph& g) {
   return triangles;
 }
 
-}  // namespace coolpim::graph::reference
+}  // namespace reference
+}  // namespace coolpim::graph

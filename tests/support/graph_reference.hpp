@@ -1,5 +1,8 @@
-// Reference algorithm implementations, used only by tests to cross-validate
-// the instrumented workloads (different algorithmic strategy, same answer).
+// Test-support oracles for the instrumented graph workloads (a different
+// algorithmic strategy, the same answer), and two small generators that give
+// the tests contrast cases to RMAT's skew.  Linked by test_csr,
+// test_generator, test_workloads and test_extensions, never by a library
+// under src/.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +10,16 @@
 
 #include "graph/csr.hpp"
 
-namespace coolpim::graph::reference {
+namespace coolpim::graph {
+
+/// Erdos-Renyi style uniform random graph (by edge sampling).
+[[nodiscard]] CsrGraph make_uniform(VertexId num_vertices, EdgeId num_edges,
+                                    std::uint64_t seed, bool weighted = true);
+
+/// 2D grid (4-neighbour torus): regular degrees, zero divergence contrast.
+[[nodiscard]] CsrGraph make_grid(VertexId width, VertexId height, bool weighted = true);
+
+namespace reference {
 
 /// BFS levels via a plain FIFO queue.
 [[nodiscard]] std::vector<std::uint32_t> bfs_levels(const CsrGraph& g, VertexId source);
@@ -33,4 +45,5 @@ namespace coolpim::graph::reference {
 /// ordered wedges closed by an edge, same convention as run_triangle_count).
 [[nodiscard]] std::uint64_t triangle_count(const CsrGraph& g);
 
-}  // namespace coolpim::graph::reference
+}  // namespace reference
+}  // namespace coolpim::graph

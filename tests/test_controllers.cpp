@@ -73,7 +73,6 @@ TEST(SwDynTTest, WarningsCoalescedWithinUpdateInterval) {
   sw.on_thermal_warning(Time::us(900));  // still within the interval
   (void)sw.acquire_block(Time::ms(0.95));
   EXPECT_EQ(sw.adjustments(), 1u);
-  EXPECT_EQ(sw.warnings_received(), 3u);
   sw.on_thermal_warning(Time::ms(2));  // new interval
   (void)sw.acquire_block(Time::ms(2.5));
   EXPECT_EQ(sw.adjustments(), 2u);

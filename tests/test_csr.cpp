@@ -9,6 +9,7 @@
 #include "graph/generator.hpp"
 #include "runner/pool.hpp"
 #include "support/csr_reference.hpp"
+#include "support/graph_reference.hpp"
 
 namespace coolpim::graph {
 namespace {

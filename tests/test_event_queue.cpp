@@ -1,6 +1,6 @@
-// Property tests for sim::EventQueue ordering and the Simulation stop() /
-// run_until boundary semantics (previously only covered incidentally via
-// test_sim's integration cases), plus the EventAction small-buffer contract:
+// Property tests for sim::EventQueue ordering and the Simulation run_until
+// boundary semantics (previously only covered incidentally via test_sim's
+// integration cases), plus the EventAction small-buffer contract:
 // small captures stay inline (no heap allocation per event), large captures
 // take the single-allocation heap path, and move-only callables work.
 #include <gtest/gtest.h>
@@ -140,32 +140,6 @@ TEST(SimulationBoundary, EventJustPastDeadlineDoesNotRun) {
   EXPECT_EQ(fired, 0);
   EXPECT_EQ(sim.now(), Time::ns(10));  // clock still advances to the deadline
   EXPECT_TRUE(sim.pending());
-}
-
-TEST(SimulationBoundary, StopIsClearedByTheNextRun) {
-  Simulation sim;
-  std::vector<int> fired;
-  sim.schedule_in(Time::ns(1), [&] {
-    fired.push_back(1);
-    sim.stop();
-  });
-  sim.schedule_in(Time::ns(2), [&] { fired.push_back(2); });
-  sim.run_to_completion();
-  EXPECT_EQ(fired, (std::vector<int>{1}));
-  EXPECT_TRUE(sim.pending());
-  // stop() affects only the run that observed it; a fresh run resumes.
-  sim.run_to_completion();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_FALSE(sim.pending());
-}
-
-TEST(SimulationBoundary, StopDoesNotRewindTheClock) {
-  Simulation sim;
-  sim.schedule_in(Time::ns(5), [&] { sim.stop(); });
-  sim.schedule_in(Time::ns(50), [] {});
-  const Time reached = sim.run_until(Time::us(1));
-  EXPECT_EQ(reached, Time::ns(5));
-  EXPECT_EQ(sim.now(), Time::ns(5));
 }
 
 TEST(EventAction, SmallCapturesStayInlineAndAllocationFree) {

@@ -5,8 +5,8 @@
 #include "control/baselines.hpp"
 #include "gpu/engine.hpp"
 #include "graph/generator.hpp"
-#include "graph/reference.hpp"
 #include "graph/workloads.hpp"
+#include "support/graph_reference.hpp"
 #include "sys/system.hpp"
 
 namespace coolpim {

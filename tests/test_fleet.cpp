@@ -505,7 +505,7 @@ TEST(FleetDocsSyncTest, KnobTableCoversTheFleetRunConfigVocabulary) {
        {"--fleet-nodes", "--arrival-rate", "--balancer", "COOLPIM_FLEET_NODES",
         "COOLPIM_ARRIVAL_RATE", "COOLPIM_BALANCER", "--duration-ms", "--rack-spread-c",
         "--queue-cap", "--synthetic", "--arrival-trace", "--mark-every"}) {
-    EXPECT_NE(doc.find("`" + std::string{token} + "`"), std::string::npos)
+    EXPECT_NE(doc.find(std::string{"`"}.append(token).append("`")), std::string::npos)
         << token << " not documented in docs/FLEET.md";
   }
 }
@@ -513,7 +513,7 @@ TEST(FleetDocsSyncTest, KnobTableCoversTheFleetRunConfigVocabulary) {
 TEST(FleetDocsSyncTest, EveryRegisteredBalancerIsDocumented) {
   const std::string doc = read_fleet_doc();
   for (const char* name : {"round-robin", "join-shortest-queue", "thermal-aware"}) {
-    EXPECT_NE(doc.find("`" + std::string{name} + "`"), std::string::npos)
+    EXPECT_NE(doc.find(std::string{"`"}.append(name).append("`")), std::string::npos)
         << "balancer " << name << " not documented in docs/FLEET.md";
   }
 }
@@ -522,12 +522,12 @@ TEST(FleetDocsSyncTest, EveryFleetCounterAndGaugeIsDocumented) {
   const std::string doc = read_fleet_doc();
   for (const auto name : obs::names::kAllCounters) {
     if (name.substr(0, 6) != "fleet/") continue;
-    EXPECT_NE(doc.find("`" + std::string{name} + "`"), std::string::npos)
+    EXPECT_NE(doc.find(std::string{"`"}.append(name).append("`")), std::string::npos)
         << name << " not documented in docs/FLEET.md";
   }
   for (const auto name : obs::names::kAllGauges) {
     if (name.substr(0, 6) != "fleet/") continue;
-    EXPECT_NE(doc.find("`" + std::string{name} + "`"), std::string::npos)
+    EXPECT_NE(doc.find(std::string{"`"}.append(name).append("`")), std::string::npos)
         << name << " not documented in docs/FLEET.md";
   }
 }

@@ -15,6 +15,7 @@
 
 #include "graph/generator.hpp"
 #include "runner/pool.hpp"
+#include "support/graph_reference.hpp"
 #include "support/rmat_reference.hpp"
 
 // GCC pairs the inlined replacement operator new with std::free and reports a

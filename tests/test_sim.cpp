@@ -78,33 +78,6 @@ TEST(SimulationTest, NestedScheduling) {
   EXPECT_DOUBLE_EQ(times[1], 20.0);
 }
 
-TEST(SimulationTest, PeriodicTicksUntilCancelled) {
-  Simulation sim;
-  int ticks = 0;
-  sim.schedule_periodic(Time::us(1), [&] { return ++ticks < 5; });
-  sim.run_to_completion();
-  EXPECT_EQ(ticks, 5);
-  EXPECT_EQ(sim.now(), Time::us(5));
-}
-
-TEST(SimulationTest, PeriodicRequiresPositivePeriod) {
-  Simulation sim;
-  EXPECT_THROW(sim.schedule_periodic(Time::zero(), [] { return false; }), ConfigError);
-}
-
-TEST(SimulationTest, StopRequest) {
-  Simulation sim;
-  int fired = 0;
-  sim.schedule_in(Time::ns(1), [&] {
-    ++fired;
-    sim.stop();
-  });
-  sim.schedule_in(Time::ns(2), [&] { ++fired; });
-  sim.run_to_completion();
-  EXPECT_EQ(fired, 1);
-  EXPECT_TRUE(sim.pending());
-}
-
 TEST(SimulationTest, DrainedRunAdvancesToDeadline) {
   Simulation sim;
   sim.run_until(Time::us(7));

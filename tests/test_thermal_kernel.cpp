@@ -80,7 +80,7 @@ StackSpec random_spec(Rng& rng, std::size_t nx, std::size_t ny, std::size_t n_la
   spec.floorplan.die_height_m = 2e-3 + 10e-3 * rng.next_double();
   for (std::size_t l = 0; l < n_layers; ++l) {
     LayerSpec layer;
-    layer.name = "L" + std::to_string(l);
+    layer.name = std::string{"L"}.append(std::to_string(l));
     layer.thickness_m = 20e-6 + 80e-6 * rng.next_double();
     layer.conductivity = 30.0 + 200.0 * rng.next_double();
     layer.volumetric_heat_capacity = 1e6 + 2e6 * rng.next_double();

@@ -7,8 +7,8 @@
 #include <cmath>
 
 #include "graph/generator.hpp"
-#include "graph/reference.hpp"
 #include "graph/workloads.hpp"
+#include "support/graph_reference.hpp"
 
 namespace coolpim::graph {
 namespace {

@@ -167,16 +167,12 @@ SCHEMAS = {
         "gate.jobs_bit_identical": bool,
         "gate.pass": bool,
     },
-    "coolpim-bench-sim/6": {
+    "coolpim-bench-sim/7": {
         "quick": bool,
         "queue.events": NUM,
         "queue.wall_ms": NUM,
         "queue.events_per_sec": NUM,
         "queue.ns_per_event": NUM,
-        "periodic.events": NUM,
-        "periodic.wall_ms": NUM,
-        "periodic.events_per_sec": NUM,
-        "periodic.ns_per_event": NUM,
         "backend.xval_epochs": NUM,
         "backend.xval_tolerance": NUM,
         "backend.xval[].kernel": str,
@@ -206,9 +202,8 @@ THROUGHPUT_KEYS = {
         "cache.warm_speedup_vs_serial",
         "csr.speedup",
     ],
-    "coolpim-bench-sim/6": [
+    "coolpim-bench-sim/7": [
         "queue.events_per_sec",
-        "periodic.events_per_sec",
     ],
 }
 
